@@ -26,7 +26,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import EntropyFailure, NotAuthorized
+from .errors import EntropyFailure, NotAuthorized, ParseError
 from .policy import ChainPartition, Policy, _require_partition, bundle_labels
 
 _F_PREFIX = b"\x01"
@@ -151,11 +151,15 @@ def derive(
     Authorized iff ``y`` is at or below the bundle's label. Walks down
     y's chain from the bundle secret covering it, applying F once per
     step, then applies H. The chain structure is public input; only the
-    sigma values are secret.
+    sigma values are secret. A wrong-length bundle secret is a ParseError.
     """
     p = policy.poset
     p._i(y)
     p._i(bundle.label)
+    for z, secret in bundle.secrets.items():
+        if len(secret) != params.secret_size:
+            raise ParseError(f"bundle secret for {z!r} is {len(secret)} bytes, "
+                             f"expected {params.secret_size} bytes")
     if not p.leq(y, bundle.label):
         raise NotAuthorized(f"{y!r} is not at or below {bundle.label!r}")
     _require_partition(policy, pi)

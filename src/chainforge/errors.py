@@ -42,10 +42,6 @@ class NoMaximum(ChainforgeError):
     """The poset has no unique maximum element."""
 
 
-class WidthMismatch(ChainforgeError):
-    """The supplied width does not match the poset's actual width."""
-
-
 class Infeasible(ChainforgeError):
     """The network admits no feasible flow."""
 

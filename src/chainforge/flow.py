@@ -5,8 +5,8 @@ label x except the maximum r gets an in-node and an out-node joined by a
 unit-lower-bound arc (forcing x to sit in exactly one chain), arcs
 out(x) -> in(y) for each y < x carry the user-weighted cost of chaining y
 under x, and a sink node collects one unit per chain bottom. A minimum
-cost flow of value w (the poset width) then encodes the cheapest chain
-partition into w chains.
+cost flow of value w (the poset width, kept as the balance at out(r))
+then encodes the cheapest chain partition into w chains.
 
 The solver is exact and integral: successive shortest augmenting paths
 with node potentials, deterministic tie-breaking by node order.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import Infeasible, NoMaximum, WidthMismatch
+from .errors import Infeasible, NoMaximum
 from .policy import Policy
 
 Node = tuple[str, str]
@@ -80,19 +80,19 @@ class FlowNetwork:
             raise ValueError("node balances do not sum to zero")
 
 
-def build_flow_network(policy: Policy, w: int) -> FlowNetwork:
+def build_flow_network(policy: Policy) -> FlowNetwork:
     """The network whose min-cost feasible flow encodes an optimal chain
     partition of the policy into ``w`` chains.
 
-    Requires the poset to have a unique maximum and ``w`` to equal its
-    width. Has exactly 2|X| nodes.
+    Requires the poset to have a unique maximum r. Computes the width w
+    itself and records it as the balance at out(r), where the decoder and
+    the optimizer read it back. Has exactly 2|X| nodes.
     """
     p = policy.poset
     r = p.maximum()
     if r is None:
         raise NoMaximum("the poset must have a unique maximum element")
-    if w != p.width():
-        raise WidthMismatch(f"w={w} but poset width is {p.width()}")
+    w = p.width()
 
     nodes = [vin(x) for x in p.elements if x != r]
     nodes += [vout(x) for x in p.elements]
@@ -103,21 +103,13 @@ def build_flow_network(policy: Policy, w: int) -> FlowNetwork:
         if x != r:
             net.add_arc(vin(x), vout(x), 1, 1, 0)
 
-    # arc costs: user-weighted count of labels above child but not above parent
-    up = p._up
-    counts = [policy.count(x) for x in p.elements]
+    # for y < x, up(x) is a subset of up(y): the users above y but not above
+    # x number W(up y) - W(up x), with W the user-weighted up-set size
+    weight = {x: sum(policy.count(z) for z in p.up_set(x)) for x in p.elements}
     for x in p.elements:
-        ix = p.index[x]
-        for y in p.elements:
-            iy = p.index[y]
-            if y != x and up[iy] >> ix & 1:  # y < x
-                mask = up[iy] & ~up[ix]
-                cost = 0
-                while mask:
-                    low = mask & -mask
-                    cost += counts[low.bit_length() - 1]
-                    mask ^= low
-                net.add_arc(vout(x), vin(y), 0, 1, cost)
+        for y in p.down_set(x):
+            if y != x:
+                net.add_arc(vout(x), vin(y), 0, 1, weight[y] - weight[x])
 
     for x in p.elements:
         net.add_arc(vout(x), BOTTOM, 0, 1, 0)

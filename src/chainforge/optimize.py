@@ -1,7 +1,7 @@
 """End-to-end chain partition optimization.
 
 Pipeline: guarantee a unique maximum (synthetic, zero users, if needed),
-compute the width w, build the flow network, solve the min-cost flow,
+build the flow network (which computes the width w), solve the min-cost flow,
 decode the unit arcs back into a chain partition with exactly w chains,
 strip the synthetic maximum again, and report the metrics.
 
@@ -55,15 +55,16 @@ def partition_from_flow(policy: Policy, flow: Flow, net=None) -> ChainPartition:
     maximum r has up to w such children; the one with the largest
     declaration index continues r's own chain (the choice never affects
     any metric), the rest start their own chains. Pass ``net`` to reuse an
-    already-built network for this policy.
+    already-built network for this policy; w is read from its balance at
+    out(r).
     """
     p = policy.poset
     r = p.maximum()
     if r is None:
         raise NoMaximum("flow decoding requires a unique maximum element")
-    w = p.width()
     if net is None:
-        net = build_flow_network(policy, w)
+        net = build_flow_network(policy)
+    w = net.balance[vout(r)]
 
     parent: dict[str, str] = {}
     for (u, v), a in net.arcs.items():
@@ -124,9 +125,8 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
     if len(policy.poset) == 0:
         raise ValueError("cannot optimize an empty policy")
     work, top, added = augment_with_maximum(policy)
-    w = work.poset.width()
-
-    net = build_flow_network(work, w)
+    net = build_flow_network(work)
+    w = net.balance[vout(top)]
     reduced, _ = eliminate_lower_bounds(net)
     f = restore_lower_bounds(net, min_cost_flow(reduced))
     cost = flow_cost(net, f)

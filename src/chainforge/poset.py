@@ -179,32 +179,37 @@ class Poset:
 
         Computed as |X| minus a maximum matching of the strict-order
         bipartite graph (minimum chain cover, which Dilworth's theorem
-        equates with the maximum antichain size).
+        equates with the maximum antichain size). Augmenting paths are
+        searched on an explicit stack, so depth is not bounded by recursion.
         """
         n = len(self.elements)
         if n == 0:
             raise ValueError("width of an empty poset is undefined")
         succ = [self._up[i] & ~(1 << i) for i in range(n)]
-        match_of: list[int | None] = [None] * n  # right vertex -> left vertex
-
-        def try_assign(i: int, free: list[bool]) -> bool:
-            m = succ[i]
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                if free[j]:
-                    free[j] = False
-                    if match_of[j] is None or try_assign(match_of[j], free):
-                        match_of[j] = i
-                        return True
-            return False
-
-        matched = 0
+        match_of = [0] * n  # right vertex -> its left vertex, once not free
+        free = (1 << n) - 1  # right vertices not yet matched
         for i in range(n):
-            if try_assign(i, [True] * n):
-                matched += 1
-        return n - matched
+            # path: the right vertices leading from i to the left vertex searched
+            path, seen = [], 0
+            while True:
+                cand = succ[match_of[path[-1]] if path else i] & ~seen
+                pick = cand & free or cand  # an unmatched successor first
+                if pick:
+                    low = pick & -pick
+                    seen |= low
+                    path.append(low.bit_length() - 1)
+                    if low & free:
+                        free ^= low
+                        lefts = [i] + [match_of[j] for j in path[:-1]]
+                        for left, right in zip(lefts, path):
+                            match_of[right] = left
+                        break
+                elif path:
+                    path.pop()
+                else:
+                    break
+        # each unmatched right vertex is the bottom of one chain in the cover
+        return free.bit_count()
 
     def is_chain(self, labels: Iterable[str]) -> bool:
         """True iff every two labels in the collection are comparable."""

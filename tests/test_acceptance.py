@@ -167,7 +167,7 @@ def test_criterion_6_flow_validity():
     solved = enumerated = 0
     for policy in random_policies(150, 6, seed=3000):
         policy, _, _ = augment_with_maximum(policy)
-        net = build_flow_network(policy, policy.poset.width())
+        net = build_flow_network(policy)
         reduced, offset = eliminate_lower_bounds(net)
         f_reduced = min_cost_flow(reduced)
         f = restore_lower_bounds(net, f_reduced)

@@ -18,7 +18,7 @@ from chainforge import (
     setup,
 )
 from chainforge.ces import bundle_from_text, bundle_to_text
-from chainforge.errors import EntropyFailure, NotAuthorized, UnknownLabel
+from chainforge.errors import EntropyFailure, NotAuthorized, ParseError, UnknownLabel
 
 from conftest import DEMO_ELEMENTS, random_policies
 
@@ -149,6 +149,14 @@ class TestDerive:
         bundle = issue_bundle(material, demo_unit, "f")
         with pytest.raises(NotAuthorized):
             derive(demo_unit, part_c, bundle, "e", params)
+
+    def test_wrong_size_secret_rejected(self, demo_unit, part_c, material, params):
+        bundle = issue_bundle(material, demo_unit, "h")
+        text = bundle_to_text(bundle).replace(bundle.secrets["g"].hex(), "ab")
+        with pytest.raises(ParseError):
+            derive(demo_unit, part_c, bundle_from_text(text), "a", params)
+        with pytest.raises(ParseError):
+            derive(demo_unit, part_c, bundle, "a", SchemeParams(security_bits=128))
 
     def test_unknown_target(self, demo_unit, part_c, material, params):
         bundle = issue_bundle(material, demo_unit, "h")

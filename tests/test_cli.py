@@ -51,6 +51,16 @@ class TestAnalyze:
         assert code == 0
         assert lines_of(out)["width"] == "1"
 
+    def test_deep_fence(self, capsys, tmp_path):
+        k = 1500
+        covers = [f"t{i}>b{i}" for i in range(k)] + [f"t{i - 1}>b{i}" for i in range(1, k)]
+        labels = [f"t{i}" for i in range(k)] + [f"b{i}" for i in range(k)]
+        path = tmp_path / "fence.policy"
+        path.write_text(f"elements: {' '.join(labels)}\ncovers: {' '.join(covers)}\n")
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert lines_of(out)["width"] == "1500"
+
     def test_cycle_names_an_element(self, capsys, tmp_path):
         path = tmp_path / "cyclic.policy"
         path.write_text("elements: a b\ncovers: a>b b>a\n")
@@ -238,6 +248,20 @@ class TestSetupAndDerive:
         )
         assert code == 3
         assert "not at or below" in err
+
+    def test_derive_short_secret_exits_2(self, capsys, demo_file, tmp_path):
+        part = tmp_path / "c.partition"
+        part.write_text(PART_C)
+        outdir = tmp_path / "keys"
+        run(capsys, *self.setup_args(demo_file, part, outdir))
+        bundle = outdir / "bundle-h.txt"
+        lines = bundle.read_text().splitlines()
+        lines[1:] = [ln.rsplit(" ", 1)[0] + " ab" for ln in lines[1:]]  # 1-byte secrets
+        bundle.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "derive", demo_file, str(part), str(bundle), "a")
+        assert code == 2
+        assert out == ""
+        assert "32 bytes" in err
 
     def test_setup_missing_partition_is_usage_error(self, capsys, demo_file, tmp_path):
         code, _, _ = run(

@@ -12,16 +12,16 @@ from chainforge import (
     min_cost_flow,
     restore_lower_bounds,
 )
-from chainforge.errors import Infeasible, NoMaximum, WidthMismatch
+from chainforge.errors import Infeasible, NoMaximum
 from chainforge.flow import BOTTOM, FlowNetwork, vin, vout
 from chainforge.policy import augment_with_maximum
 
-from conftest import enumerate_min_cost, random_policies
+from conftest import brute_max_antichain, enumerate_min_cost, random_policies
 
 
 @pytest.fixture(scope="module")
 def demo_net(demo_unit):
-    return build_flow_network(demo_unit, 2)
+    return build_flow_network(demo_unit)
 
 
 class TestConstruction:
@@ -37,12 +37,18 @@ class TestConstruction:
 
     def test_order_arcs_cost_matches_link_cost(self, demo_net, demo_unit):
         assert demo_net.arcs[(vout("c"), vin("a"))].cost == 2
-        p = demo_unit.poset
-        for (u, v), arc in demo_net.arcs.items():
-            if u[0] == "out" and v[0] == "in":
-                assert p.lt(v[1], u[1])
-                assert arc.cost == link_cost(demo_unit, u[1], v[1])
-                assert (arc.lower, arc.upper) == (0, 1)
+        cases = [(demo_unit, demo_net)]
+        for policy in random_policies(60, 9, seed=307):
+            policy, _, _ = augment_with_maximum(policy)
+            cases.append((policy, build_flow_network(policy)))
+        for policy, net in cases:
+            p = policy.poset
+            for (u, v), arc in net.arcs.items():
+                if u[0] == "out" and v[0] == "in":
+                    assert p.lt(v[1], u[1])
+                    assert arc.cost == link_cost(policy, u[1], v[1])
+                    assert (arc.lower, arc.upper) == (0, 1)
+            assert net.balance[vout(p.maximum())] == brute_max_antichain(p)
 
     def test_order_arcs_cover_every_strict_pair(self, demo_net, demo_unit):
         p = demo_unit.poset
@@ -62,18 +68,14 @@ class TestConstruction:
 
     def test_singleton_network(self):
         pol = Policy.unit(Poset(["r"]))
-        net = build_flow_network(pol, 1)
+        net = build_flow_network(pol)
         assert set(net.nodes) == {vout("r"), BOTTOM}
         assert list(net.arcs) == [(vout("r"), BOTTOM)]
         assert net.balance[vout("r")] == 1
 
-    def test_width_mismatch_rejected(self, demo_unit):
-        with pytest.raises(WidthMismatch):
-            build_flow_network(demo_unit, 3)
-
     def test_no_maximum_rejected(self):
         with pytest.raises(NoMaximum):
-            build_flow_network(Policy.unit(Poset(["x", "y"])), 2)
+            build_flow_network(Policy.unit(Poset(["x", "y"])))
 
     def test_parallel_arc_rejected(self):
         net = FlowNetwork([vout("a"), BOTTOM])
@@ -163,7 +165,7 @@ class TestSolver:
     def test_solver_output_feasible_and_binary_on_corpus(self):
         for policy in random_policies(40, 8, seed=211):
             policy, _, _ = augment_with_maximum(policy)
-            net = build_flow_network(policy, policy.poset.width())
+            net = build_flow_network(policy)
             reduced, _ = eliminate_lower_bounds(net)
             f = restore_lower_bounds(net, min_cost_flow(reduced))
             assert is_feasible(net, f)
@@ -194,7 +196,7 @@ class TestAgainstEnumeration:
     def test_solver_matches_exhaustive_enumeration(self):
         for policy in _tiny_posets():
             policy, _, _ = augment_with_maximum(policy)
-            net = build_flow_network(policy, policy.poset.width())
+            net = build_flow_network(policy)
             expect = enumerate_min_cost(net)
             assert expect is not None
             reduced, _ = eliminate_lower_bounds(net)
@@ -223,7 +225,7 @@ class TestFeasibility:
 class TestDump:
     def test_dump_layout(self):
         pol = Policy.unit(Poset(["r"]))
-        net = build_flow_network(pol, 1)
+        net = build_flow_network(pol)
         text = dump_network(net)
         assert "out(r) bottom 0 1 0" in text.splitlines()
         assert "out(r) 1" in text.splitlines()

@@ -28,7 +28,7 @@ def flow_for_links(policy, links):
     (child -> parent), bottoms inferred from parents that have no child."""
     p = policy.poset
     top = p.maximum()
-    net = build_flow_network(policy, p.width())
+    net = build_flow_network(policy)
     f = {arc: 0 for arc in net.arcs}
     for x in p.elements:
         if x != top:
@@ -64,7 +64,7 @@ class TestPartitionFromFlow:
         assert pi.chains == (("r",),)
 
     def test_zero_flow_is_malformed(self, demo_unit):
-        net = build_flow_network(demo_unit, 2)
+        net = build_flow_network(demo_unit)
         with pytest.raises(MalformedFlow):
             partition_from_flow(demo_unit, {arc: 0 for arc in net.arcs})
 

@@ -119,6 +119,18 @@ class TestWidth:
         for policy in random_policies(40, 8, seed=23):
             assert policy.poset.width() == brute_max_antichain(policy.poset)
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["increasing", "reversed"])
+    def test_deep_fence_width(self, reverse):
+        # b_i < t_i and b_i < t_(i-1): every augmenting path is long, so a
+        # recursive matching search exceeds the interpreter's stack limit
+        k = 1500
+        tops = [f"t{i}" for i in range(k)]
+        bottoms = [f"b{i}" for i in range(k)]
+        covers = [(bottoms[i], tops[i]) for i in range(k)]
+        covers += [(bottoms[i], tops[i - 1]) for i in range(1, k)]
+        order = tops[::-1] if reverse else tops
+        assert Poset(order + bottoms, covers).width() == k
+
     def test_empty_poset_width_undefined(self):
         with pytest.raises(ValueError):
             Poset([]).width()
