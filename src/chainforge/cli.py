@@ -38,7 +38,10 @@ from .policy import (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _load_policy(path: str) -> Policy:
@@ -125,11 +128,18 @@ def _entropy_from_args(args) -> ces.EntropySource:
     return os.urandom
 
 
+def _scheme_params(args) -> ces.SchemeParams:
+    try:
+        return ces.SchemeParams(security_bits=args.bits, hash_name=args.hash)
+    except ValueError as e:
+        raise ParseError(f"--hash {args.hash}: {e}") from None
+
+
 def _cmd_setup(args) -> int:
     policy = _load_policy(args.policy)
     pi = parse_partition(_read(args.partition), policy.poset)
     entropy = _entropy_from_args(args)
-    params = ces.SchemeParams(security_bits=args.bits, hash_name=args.hash)
+    params = _scheme_params(args)
     material = ces.setup(policy, pi, params, entropy)
 
     outdir = Path(args.export)
@@ -155,7 +165,7 @@ def _cmd_derive(args) -> int:
         bundle = ces.bundle_from_text(_read(args.bundle))
     except ValueError as e:
         raise ParseError(str(e)) from None
-    params = ces.SchemeParams(security_bits=args.bits, hash_name=args.hash)
+    params = _scheme_params(args)
     key = ces.derive(policy, pi, bundle, args.target, params)
     print(key.hex())
     return 0
@@ -178,6 +188,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.elements < 1:
+        raise ParseError("--elements must be at least 1")
+    if not 0.0 <= args.density <= 1.0:
+        raise ParseError("--density must be in [0, 1]")
     policy = gen.random_policy(args.elements, args.density, args.seed)
     sys.stdout.write(policy_text(policy))
     return 0

@@ -6,7 +6,8 @@ class ChainforgeError(Exception):
 
 
 class InvalidLabel(ChainforgeError):
-    """Label is empty or contains whitespace."""
+    """Label is empty, contains whitespace or '>', '#', '=', or is a
+    section header of the policy file format."""
 
 
 class DuplicateLabel(ChainforgeError):

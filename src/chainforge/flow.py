@@ -9,7 +9,10 @@ cost flow of value w (the poset width, kept as the balance at out(r))
 then encodes the cheapest chain partition into w chains.
 
 The solver is exact and integral: successive shortest augmenting paths
-with node potentials, deterministic tie-breaking by node order.
+with node potentials, deterministic tie-breaking by node order. Each
+Dijkstra search stops once the sink is settled; nodes it did not settle
+have distance at least the sink's, so the path and the potentials are the
+ones a full search would give.
 """
 
 from __future__ import annotations
@@ -158,6 +161,14 @@ def min_cost_flow(net: FlowNetwork) -> Flow:
     keeps reduced costs nonnegative, and ties are broken by node order so
     the chosen optimum is reproducible.
 
+    Each search stops when the sink is popped at distance D. Every node
+    not yet settled then has a tentative distance of at least D, and
+    nonnegative reduced costs mean no later relaxation could go below D,
+    so the sink's path is final. Potentials move by ``min(dist, D)``,
+    which is D for every unsettled or unreached node, as it would be after
+    a full search: the augmenting paths, potentials and returned optimum
+    are those of the full search.
+
     Raises :class:`Infeasible` if the balances cannot be met.
     """
     if any(a.lower != 0 for a in net.arcs.values()):
@@ -197,6 +208,7 @@ def min_cost_flow(net: FlowNetwork) -> Flow:
         potential = [0] * (n + 2)
 
     INF = float("inf")
+    heappop, heappush = heapq.heappop, heapq.heappush
     routed = 0
     while routed < need:
         dist: list[float] = [INF] * (n + 2)
@@ -204,25 +216,25 @@ def min_cost_flow(net: FlowNetwork) -> Flow:
         dist[source] = 0
         heap: list[tuple[float, int]] = [(0, source)]
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = heappop(heap)
             if d > dist[u]:
                 continue
+            if u == sink:
+                break
+            du = d + potential[u]
             for k in adj[u]:
-                if cap[k] <= 0:
-                    continue
-                v = to[k]
-                nd = d + cost[k] + potential[u] - potential[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev_edge[v] = k
-                    heapq.heappush(heap, (nd, v))
-        if dist[sink] == INF:
+                if cap[k] > 0:
+                    v = to[k]
+                    nd = du + cost[k] - potential[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev_edge[v] = k
+                        heappush(heap, (nd, v))
+        dsink = dist[sink]
+        if dsink == INF:
             raise Infeasible("no feasible flow: balances cannot be routed")
-        for v in range(n + 2):
-            if dist[v] < INF:
-                potential[v] += min(dist[v], dist[sink])
-            else:
-                potential[v] += dist[sink]
+        # nodes not settled before the sink, reached or not, move by dsink
+        potential = [p + (dv if dv < dsink else dsink) for p, dv in zip(potential, dist)]
         # bottleneck along the path, then augment
         push = need - routed
         v = sink

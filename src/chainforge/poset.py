@@ -27,9 +27,19 @@ from .errors import (
 )
 
 
+# characters and whole tokens that the policy and partition files reserve
+_RESERVED_CHARS = ">#="
+_SECTION_HEADERS = ("elements:", "covers:", "users:")
+
+
 def _check_label(label: str) -> None:
     if not isinstance(label, str) or not label or any(c.isspace() for c in label):
         raise InvalidLabel(f"bad label {label!r}: must be nonempty with no whitespace")
+    if any(c in _RESERVED_CHARS for c in label) or label in _SECTION_HEADERS:
+        raise InvalidLabel(
+            f"bad label {label!r}: '>', '#', '=' and section headers cannot be "
+            "written to a policy file"
+        )
 
 
 class Poset:

@@ -263,6 +263,49 @@ class TestSetupAndDerive:
         assert out == ""
         assert "32 bytes" in err
 
+    @pytest.mark.parametrize("command", ["setup", "derive"])
+    def test_hash_too_short_exits_2(self, capsys, demo_file, tmp_path, command):
+        part = tmp_path / "c.partition"
+        part.write_text(PART_C)
+        outdir = tmp_path / "keys"
+        if command == "setup":
+            argv = self.setup_args(demo_file, part, outdir, "--hash", "md5")
+        else:
+            run(capsys, *self.setup_args(demo_file, part, outdir))
+            argv = ["derive", demo_file, str(part), str(outdir / "bundle-h.txt"), "a",
+                    "--hash", "md5"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "too short" in err
+
+    def test_unknown_hash_exits_2(self, capsys, demo_file, tmp_path):
+        part = tmp_path / "c.partition"
+        part.write_text(PART_C)
+        argv = self.setup_args(demo_file, part, tmp_path / "keys", "--hash", "nosuch")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and "nosuch" in err
+        assert not (tmp_path / "keys").exists()
+
+    @pytest.mark.parametrize("bad", ["policy", "partition", "bundle"])
+    def test_non_utf8_file_exits_2(self, capsys, demo_file, tmp_path, bad):
+        part = tmp_path / "c.partition"
+        part.write_text(PART_C)
+        outdir = tmp_path / "keys"
+        run(capsys, *self.setup_args(demo_file, part, outdir))
+        files = {"policy": demo_file, "partition": str(part),
+                 "bundle": str(outdir / "bundle-h.txt")}
+        broken = tmp_path / "broken.txt"
+        broken.write_bytes(b"elements: a\xff\n")
+        files[bad] = str(broken)
+        code, out, err = run(
+            capsys, "derive", files["policy"], files["partition"], files["bundle"], "a"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {broken}: not UTF-8 text")
+
     def test_setup_missing_partition_is_usage_error(self, capsys, demo_file, tmp_path):
         code, _, _ = run(
             capsys, "setup", demo_file, "--seed", "00", "--export", str(tmp_path / "x")
@@ -363,6 +406,16 @@ class TestGen:
         code, out, _ = run(capsys, "oracle", str(path))
         assert code == 0
         assert lines_of(out)["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("argv", [
+        ("--elements", "0"),
+        ("--elements", "4", "--density", "3"),
+    ])
+    def test_out_of_range_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --")
 
     def test_seed_required(self, capsys):
         code, _, _ = run(capsys, "gen", "--elements", "3")

@@ -12,6 +12,7 @@ from chainforge import (
     min_cost_flow,
     restore_lower_bounds,
 )
+from chainforge import flow as flow_module
 from chainforge.errors import Infeasible, NoMaximum
 from chainforge.flow import BOTTOM, FlowNetwork, vin, vout
 from chainforge.policy import augment_with_maximum
@@ -180,6 +181,77 @@ class TestSolver:
                 assert f[(vin(x), vout(x))] == 1
         assert sum(f[a] for a in f if a[0] == vout("h")) == 2
         assert sum(f[(vout(x), BOTTOM)] for x in p.elements) == 2
+
+
+def _has_negative_cycle(net, f):
+    """Bellman-Ford from a virtual source joined to every node at cost 0:
+    a relaxation still possible after |V| rounds proves a negative cycle."""
+    edges = []
+    for (u, v), a in net.arcs.items():
+        if f[(u, v)] < a.upper:
+            edges.append((u, v, a.cost))
+        if f[(u, v)] > a.lower:
+            edges.append((v, u, -a.cost))
+    dist = {v: 0 for v in net.nodes}
+    for _ in range(len(net.nodes)):
+        changed = False
+        for u, v, c in edges:
+            if dist[u] + c < dist[v]:
+                dist[v] = dist[u] + c
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def _negative_arc_network():
+    s, a, b, c, t = (("out", x) for x in "sabct")
+    net = FlowNetwork([s, a, b, c, t])
+    for u, v, upper, cost in [
+        (s, a, 2, 2), (s, b, 2, 5), (a, b, 1, -4), (a, c, 2, 1),
+        (b, c, 1, -2), (b, t, 2, 3), (c, t, 2, 2), (a, t, 1, 6),
+    ]:
+        net.add_arc(u, v, 0, upper, cost)
+    net.set_balance(s, 3)
+    net.set_balance(t, -3)
+    return net
+
+
+class TestOptimalityCertificate:
+    """A feasible flow is minimum-cost exactly when its residual graph has
+    no negative-cost cycle; this reaches sizes enumeration cannot."""
+
+    def test_random_networks(self):
+        nets = []
+        for policy in random_policies(30, 40, seed=331, min_n=10):
+            policy, _, _ = augment_with_maximum(policy)
+            nets.append(eliminate_lower_bounds(build_flow_network(policy))[0])
+        assert max(len(net.nodes) for net in nets) > 60
+        for net in nets:
+            f = min_cost_flow(net)
+            assert is_feasible(net, f)
+            assert not _has_negative_cycle(net, f)
+
+    def test_negative_cost_arc(self, monkeypatch):
+        calls = []
+        real = flow_module._bellman_ford
+        monkeypatch.setattr(
+            flow_module, "_bellman_ford", lambda *a: calls.append(1) or real(*a)
+        )
+        net = _negative_arc_network()
+        f = min_cost_flow(net)
+        assert calls == [1]
+        assert is_feasible(net, f)
+        assert not _has_negative_cycle(net, f)
+        assert flow_cost(net, f) == enumerate_min_cost(net) == 11
+
+    def test_certificate_detects_a_suboptimal_flow(self):
+        net = _negative_arc_network()
+        s, a, b, c, t = (("out", x) for x in "sabct")
+        f = {arc: 0 for arc in net.arcs}
+        f.update({(s, b): 2, (b, t): 2, (s, a): 1, (a, t): 1})
+        assert is_feasible(net, f)
+        assert _has_negative_cycle(net, f)
 
 
 def _tiny_posets():

@@ -1,9 +1,13 @@
 import pytest
 
+from chainforge import Policy, Poset
 from chainforge.errors import InvalidPartition, ParseError, RedundantCover, UnknownLabel
 from chainforge.formats import parse_partition, parse_policy, partition_text, policy_text
 
-from conftest import DEMO_COVERS, DEMO_ELEMENTS
+from conftest import DEMO_COVERS, DEMO_ELEMENTS, random_policies
+
+# legal labels that sit next to the format's reserved tokens
+ODD_LABELS = ("users", "covers", "elements", "a:", ":", "users:x", "x-y", "é", "0", "a/b")
 
 DEMO_TEXT = """\
 # demo policy
@@ -21,6 +25,25 @@ class TestPolicyParsing:
         assert set(policy.poset.covers) == set(DEMO_COVERS)
         assert all(policy.count(x) == 1 for x in DEMO_ELEMENTS)
         assert parse_policy(policy_text(policy)).poset.covers == policy.poset.covers
+
+    def test_round_trip_on_random_policies(self):
+        cases = []
+        for policy in random_policies(40, 12, seed=311):
+            cases.append(policy)
+            # the same order with its first labels renamed to ODD_LABELS
+            p = policy.poset
+            names = {x: ODD_LABELS[i] if i < len(ODD_LABELS) else x
+                     for i, x in enumerate(p.elements)}
+            cases.append(Policy(
+                Poset([names[x] for x in p.elements],
+                      [(names[c], names[q]) for c, q in p.covers]),
+                {names[x]: policy.count(x) for x in p.elements},
+            ))
+        for policy in cases:
+            back = parse_policy(policy_text(policy))
+            assert back.poset.elements == policy.poset.elements
+            assert back.poset.covers == policy.poset.covers
+            assert all(back.count(x) == policy.count(x) for x in policy.poset.elements)
 
     def test_sections_may_interleave_lines_and_comments(self):
         policy = parse_policy("elements:\n  x  # one label\n  y\ncovers: y>x\n")

@@ -61,6 +61,13 @@ class TestConstruction:
         with pytest.raises(InvalidLabel):
             Poset(["a b"])
 
+    @pytest.mark.parametrize(
+        "label", ["a>b", "a#b", "k=v", "users:", "covers:", "elements:", ">", "#", "="]
+    )
+    def test_unwritable_labels_rejected(self, label):
+        with pytest.raises(InvalidLabel):
+            Poset(["a", label])
+
 
 class TestOrderQueries:
     def test_leq_along_a_path(self, demo_poset):
