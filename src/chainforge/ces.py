@@ -151,12 +151,14 @@ def derive(
     Authorized iff ``y`` is at or below the bundle's label. Walks down
     y's chain from the bundle secret covering it, applying F once per
     step, then applies H. The chain structure is public input; only the
-    sigma values are secret. A wrong-length bundle secret is a ParseError.
+    sigma values are secret. A wrong-length bundle secret is a ParseError,
+    and a secret for a label outside the poset is an UnknownLabel.
     """
     p = policy.poset
     p._i(y)
     p._i(bundle.label)
     for z, secret in bundle.secrets.items():
+        p._i(z)
         if len(secret) != params.secret_size:
             raise ParseError(f"bundle secret for {z!r} is {len(secret)} bytes, "
                              f"expected {params.secret_size} bytes")
@@ -242,6 +244,8 @@ def bundle_from_text(text: str) -> UserBundle:
         parts = ln.split()
         if len(parts) != 3 or parts[1] != "secret":
             raise ValueError(f"bad bundle line: {ln!r}")
+        if parts[0] in secrets:
+            raise ValueError(f"second secret for {parts[0]!r} in bundle line: {ln!r}")
         try:
             secrets[parts[0]] = bytes.fromhex(parts[2])
         except ValueError:

@@ -132,13 +132,18 @@ def eliminate_lower_bounds(net: FlowNetwork) -> tuple[FlowNetwork, int]:
     cost offset ``sum(lower * cost)``: a min-cost flow f' of the new
     network maps to a min-cost flow ``f = f' + lower`` of the original
     with ``cost(f) = cost(f') + offset``.
+
+    The new network has its own arc and balance dicts, in the input's arc
+    order; it shares the (frozen) ``Arc`` values of every arc whose lower
+    bound is already zero.
     """
     out = FlowNetwork(net.nodes)
+    out.arcs = dict(net.arcs)
     out.balance = dict(net.balance)
     offset = 0
     for (u, v), a in net.arcs.items():
-        out.add_arc(u, v, 0, a.upper - a.lower, a.cost)
         if a.lower:
+            out.arcs[(u, v)] = Arc(0, a.upper - a.lower, a.cost)
             out.balance[u] -= a.lower
             out.balance[v] += a.lower
             offset += a.lower * a.cost

@@ -16,6 +16,11 @@ are the per-class bundle. The module computes
 plus two deliberately independent recomputations of ``issued_secrets``
 (via the derivation tree, and via chain bottoms). These exist as oracles
 for cross-validation, not as optimizations, and must always agree.
+
+Bundles are read off the poset's bitmasks: each chain's labels form one
+mask, and a chain meets the down-set of x iff that mask shares a bit with
+x's down-set mask. A top-first chain meets a down-set in a suffix, so the
+bundle element is the first label of that suffix.
 """
 
 from __future__ import annotations
@@ -113,15 +118,17 @@ def _require_partition(policy: Policy, pi: ChainPartition) -> None:
         raise InvalidPartition("chains are not disjoint or do not cover the poset")
 
 
-def _bundle_raw(p: Poset, x: str, pi: ChainPartition) -> list[str]:
-    # per chain, the maximum of the (possibly empty) suffix below x
-    out = []
-    for chain in pi.chains:
-        for z in chain:
-            if p.leq(z, x):
-                out.append(z)
-                break
-    return out
+def _chain_masks(p: Poset, pi: ChainPartition) -> list[int]:
+    """One label bitmask per chain, in chain order."""
+    index = p.index
+    return [sum(1 << index[z] for z in chain) for chain in pi.chains]
+
+
+def _bundle_sizes(p: Poset, pi: ChainPartition) -> list[int]:
+    """Bundle size of every label, in declaration order: the number of
+    chains that meet its down-set."""
+    masks = _chain_masks(p, pi)
+    return [sum(1 for m in masks if m & down) for down in p._down]
 
 
 def secret_holders(policy: Policy, parent: str, child: str) -> tuple[str, ...]:
@@ -134,7 +141,7 @@ def secret_holders(policy: Policy, parent: str, child: str) -> tuple[str, ...]:
     p = policy.poset
     if not p.lt(child, parent):
         raise NotComparable(f"{child!r} is not strictly below {parent!r}")
-    return tuple(x for x in p.elements if p.leq(child, x) and not p.leq(parent, x))
+    return p._labels(p._up[p.index[child]] & ~p._up[p.index[parent]])
 
 
 def link_cost(policy: Policy, parent: str, child: str) -> int:
@@ -150,28 +157,33 @@ def bundle_labels(policy: Policy, x: str, pi: ChainPartition) -> tuple[str, ...]
     contains ``x`` itself.
     """
     _require_partition(policy, pi)
-    policy.poset._i(x)
-    return policy.poset.ordered(_bundle_raw(policy.poset, x, pi))
+    p = policy.poset
+    down = p._down[p._i(x)]
+    out = []
+    for chain, mask in zip(pi.chains, _chain_masks(p, pi)):
+        below = mask & down
+        if below:
+            # the chain's suffix below x starts at its first such label
+            out.append(chain[-below.bit_count()])
+    return p.ordered(out)
 
 
 def max_bundle_size(policy: Policy, pi: ChainPartition) -> int:
     _require_partition(policy, pi)
-    p = policy.poset
-    return max(len(_bundle_raw(p, x, pi)) for x in p.elements)
+    return max(_bundle_sizes(policy.poset, pi))
 
 
 def total_secrets(policy: Policy, pi: ChainPartition) -> int:
     """Sum of bundle sizes over all labels (user counts ignored)."""
     _require_partition(policy, pi)
-    p = policy.poset
-    return sum(len(_bundle_raw(p, x, pi)) for x in p.elements)
+    return sum(_bundle_sizes(policy.poset, pi))
 
 
 def issued_secrets(policy: Policy, pi: ChainPartition) -> int:
     """Total secrets issued to users: bundle size weighted by user count."""
     _require_partition(policy, pi)
     p = policy.poset
-    return sum(policy.count(x) * len(_bundle_raw(p, x, pi)) for x in p.elements)
+    return sum(policy.count(x) * size for x, size in zip(p.elements, _bundle_sizes(p, pi)))
 
 
 def derivation_tree(policy: Policy, pi: ChainPartition) -> DerivationTree:

@@ -158,6 +158,12 @@ class TestDerive:
         with pytest.raises(ParseError):
             derive(demo_unit, part_c, bundle, "a", SchemeParams(security_bits=128))
 
+    def test_unknown_bundle_label_rejected(self, demo_unit, part_c, material, params):
+        bundle = issue_bundle(material, demo_unit, "h")
+        stray = dataclasses.replace(bundle, secrets={**bundle.secrets, "zz": b"\0" * 32})
+        with pytest.raises(UnknownLabel):
+            derive(demo_unit, part_c, stray, "a", params)
+
     def test_unknown_target(self, demo_unit, part_c, material, params):
         bundle = issue_bundle(material, demo_unit, "h")
         with pytest.raises(UnknownLabel):
@@ -252,3 +258,8 @@ class TestSerialization:
             bundle_from_text("no header\n")
         with pytest.raises(ValueError):
             bundle_from_text("bundle h\ng secret zz\n")
+
+    def test_bundle_text_rejects_second_secret_for_a_label(self, demo_unit, material):
+        text = bundle_to_text(issue_bundle(material, demo_unit, "h"))
+        with pytest.raises(ValueError, match="'g'"):
+            bundle_from_text(text + "g secret " + "00" * 32 + "\n")

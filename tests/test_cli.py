@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from chainforge.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 DEMO = """\
 elements: a b c d e f g h
@@ -263,6 +270,24 @@ class TestSetupAndDerive:
         assert out == ""
         assert "32 bytes" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        ["g secret " + "00" * 32, "zz secret " + "00" * 32],
+        ids=["second-secret", "unknown-label"],
+    )
+    def test_derive_bad_bundle_label_exits_2(self, capsys, demo_file, tmp_path, extra):
+        # a second secret for g, or a secret for a label outside the policy
+        part = tmp_path / "c.partition"
+        part.write_text(PART_C)
+        outdir = tmp_path / "keys"
+        run(capsys, *self.setup_args(demo_file, part, outdir))
+        bundle = outdir / "bundle-h.txt"
+        bundle.write_text(bundle.read_text() + extra + "\n")
+        code, out, err = run(capsys, "derive", demo_file, str(part), str(bundle), "a")
+        assert code == 2
+        assert out == ""
+        assert repr(extra.split()[0]) in err
+
     @pytest.mark.parametrize("command", ["setup", "derive"])
     def test_hash_too_short_exits_2(self, capsys, demo_file, tmp_path, command):
         part = tmp_path / "c.partition"
@@ -428,3 +453,12 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_python_dash_m_runs_the_cli(self, demo_file):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainforge", "analyze", demo_file],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "width: 2" in proc.stdout.splitlines()

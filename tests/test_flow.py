@@ -117,6 +117,21 @@ class TestLowerBoundElimination:
         assert reduced.arcs[(a, b)].upper == 3
         assert reduced.balance == {a: 0, b: 0}
 
+    def test_input_untouched_and_unshared(self, demo_unit):
+        nets = [build_flow_network(demo_unit)]
+        for policy in random_policies(20, 12, seed=331):
+            nets.append(build_flow_network(augment_with_maximum(policy)[0]))
+        for net in nets:
+            before = dump_network(net)
+            reduced, _ = eliminate_lower_bounds(net)
+            assert dump_network(net) == before
+            assert list(reduced.arcs) == list(net.arcs)
+            top = next(v for v, b in net.balance.items() if b > 0)
+            reduced.add_arc(BOTTOM, top, 0, 1, 0)
+            reduced.set_balance(BOTTOM, 0)
+            reduced.set_balance(top, 0)
+            assert dump_network(net) == before
+
     def test_round_trip_cost_identity(self, demo_net):
         reduced, offset = eliminate_lower_bounds(demo_net)
         f_reduced = min_cost_flow(reduced)

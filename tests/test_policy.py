@@ -17,6 +17,7 @@ from chainforge import (
     secret_holders,
     total_secrets,
 )
+from chainforge.brute import enumerate_chain_partitions
 from chainforge.errors import (
     InvalidPartition,
     NoMaximum,
@@ -256,6 +257,49 @@ class TestStructuralProperties:
             assert len(bundle) == len(pi.chains)
             for chain in pi.chains:
                 assert sum(1 for z in bundle if z in chain) == 1
+
+
+def _leq_bundle(p, x, pi):
+    """Reference bundle: per chain, the first label at or below x, found by
+    ``leq`` alone."""
+    out = []
+    for chain in pi.chains:
+        for z in chain:
+            if p.leq(z, x):
+                out.append(z)
+                break
+    return p.ordered(out)
+
+
+class TestAgainstOrderQueries:
+    # every bundle and holder set read off the bitmasks equals the one
+    # found by pairwise leq queries
+    def test_bundles_and_aggregates(self):
+        for policy in random_policies(25, 7, seed=163, min_n=3):
+            for pol in (policy, augment_with_maximum(policy)[0]):
+                p = pol.poset
+                for pi in enumerate_chain_partitions(p):
+                    bundles = {x: _leq_bundle(p, x, pi) for x in p.elements}
+                    for x in p.elements:
+                        assert bundle_labels(pol, x, pi) == bundles[x]
+                    sizes = [len(b) for b in bundles.values()]
+                    assert max_bundle_size(pol, pi) == max(sizes)
+                    assert total_secrets(pol, pi) == sum(sizes)
+                    assert issued_secrets(pol, pi) == sum(
+                        pol.count(x) * len(b) for x, b in bundles.items()
+                    )
+
+    def test_secret_holders(self):
+        for policy in random_policies(25, 7, seed=163, min_n=3):
+            for pol in (policy, augment_with_maximum(policy)[0]):
+                p = pol.poset
+                for parent in p.elements:
+                    for child in p.elements:
+                        if p.lt(child, parent):
+                            assert secret_holders(pol, parent, child) == tuple(
+                                x for x in p.elements
+                                if p.leq(child, x) and not p.leq(parent, x)
+                            )
 
 
 class TestAugmentation:
