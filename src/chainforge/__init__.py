@@ -1,7 +1,10 @@
 """Chain partition optimization and chain-based cryptographic enforcement
-for information flow policies."""
+for information flow policies.
 
-from .brute import OracleReport, brute_minimum, enumerate_chain_partitions
+The flow-network oracle lives in :mod:`chainforge.flow` (and its decoder,
+``partition_from_flow``, in :mod:`chainforge.optimize`); the brute-force
+oracle in :mod:`chainforge.brute`."""
+
 from .ces import (
     KeyMaterial,
     SchemeParams,
@@ -14,23 +17,8 @@ from .ces import (
     setup,
 )
 from .errors import ChainforgeError
-from .flow import (
-    FlowNetwork,
-    build_flow_network,
-    dump_network,
-    eliminate_lower_bounds,
-    flow_cost,
-    is_feasible,
-    min_cost_flow,
-    restore_lower_bounds,
-)
 from .gen import random_chain_partition, random_policy
-from .optimize import (
-    OptimizationResult,
-    optimal_partition,
-    partition_from_flow,
-    verify_result,
-)
+from .optimize import OptimizationResult, optimal_partition, verify_result
 from .policy import (
     ChainPartition,
     DerivationTree,
@@ -54,41 +42,29 @@ __all__ = [
     "ChainforgeError",
     "ChainPartition",
     "DerivationTree",
-    "FlowNetwork",
     "KeyMaterial",
     "OptimizationResult",
-    "OracleReport",
     "Policy",
     "Poset",
     "SchemeParams",
     "UserBundle",
     "augment_with_maximum",
-    "brute_minimum",
-    "build_flow_network",
     "build_poset",
     "bundle_labels",
     "correctness_audit",
     "derivation_tree",
     "derive",
-    "dump_network",
-    "eliminate_lower_bounds",
     "ensure_maximum",
-    "enumerate_chain_partitions",
     "export_material",
-    "flow_cost",
-    "is_feasible",
     "issue_bundle",
     "issued_secrets",
     "issued_secrets_via_bottoms",
     "issued_secrets_via_tree",
     "link_cost",
     "max_bundle_size",
-    "min_cost_flow",
     "optimal_partition",
-    "partition_from_flow",
     "random_chain_partition",
     "random_policy",
-    "restore_lower_bounds",
     "secret_holders",
     "seeded_entropy",
     "setup",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import brute, ces, gen, optimize
@@ -78,16 +79,19 @@ def _cmd_partition(args) -> int:
     result = optimize.optimal_partition(policy)
     if not optimize.verify_result(policy, result):
         raise InternalError("optimization result failed self-verification")
-    print(f"khat: {result.khat}")
-    print(f"K: {total_secrets(policy, result.partition)}")
-    print(f"kmax: {result.kmax}")
-    print(f"width: {result.width}")
-    print(f"chains: {len(result.partition.chains)}")
-    print(f"flow_cost: {result.flow_cost}")
-    _print_bottoms(policy, result.partition)
-    if args.out:
-        Path(args.out).write_text(partition_text(result.partition), encoding="utf-8")
-        print(f"wrote: {args.out}")
+    # opened before the report is printed, so an unwritable path prints
+    # only the error line
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
+        print(f"khat: {result.khat}")
+        print(f"K: {total_secrets(policy, result.partition)}")
+        print(f"kmax: {result.kmax}")
+        print(f"width: {result.width}")
+        print(f"chains: {len(result.partition.chains)}")
+        print(f"flow_cost: {result.flow_cost}")
+        _print_bottoms(policy, result.partition)
+        if out is not None:
+            out.write(partition_text(result.partition))
+            print(f"wrote: {args.out}")
     return 0
 
 
@@ -291,3 +295,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -9,10 +9,14 @@ cost flow of value w (the poset width, kept as the balance at out(r))
 then encodes the cheapest chain partition into w chains.
 
 The solver is exact and integral: successive shortest augmenting paths
-with node potentials, deterministic tie-breaking by node order. Each
-Dijkstra search stops once the sink is settled; nodes it did not settle
-have distance at least the sink's, so the path and the potentials are the
-ones a full search would give.
+with node potentials, deterministic tie-breaking by node order, the
+solver's own sink numbered first. Each Dijkstra search stops once the sink is settled; nodes it
+did not settle have distance at least the sink's, so the path and the
+potentials are the ones a full search would give.
+
+``chainforge.optimize`` solves this network on the poset's bitmasks
+without building it; the network, its solver and its decoder are the
+oracle that solver is tested against.
 """
 
 from __future__ import annotations
@@ -172,7 +176,9 @@ def min_cost_flow(net: FlowNetwork) -> Flow:
     so the sink's path is final. Potentials move by ``min(dist, D)``,
     which is D for every unsettled or unreached node, as it would be after
     a full search: the augmenting paths, potentials and returned optimum
-    are those of the full search.
+    are those of the full search. The sink carries the lowest node number,
+    so it is popped before the other nodes at distance D; none of them
+    could have shortened its path, and each of them moves by D either way.
 
     Raises :class:`Infeasible` if the balances cannot be met.
     """
@@ -180,8 +186,10 @@ def min_cost_flow(net: FlowNetwork) -> Flow:
         raise ValueError("eliminate lower bounds before solving")
 
     n = len(net.nodes)
-    idx = {v: i for i, v in enumerate(net.nodes)}
-    source, sink = n, n + 1
+    # the sink is numbered below every other node, so it is popped first
+    # among the nodes at its distance
+    sink, source = 0, n + 1
+    idx = {v: i for i, v in enumerate(net.nodes, 1)}
 
     # paired residual edges: edge k and k^1 are reverses of each other
     to: list[int] = []

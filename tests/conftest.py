@@ -50,7 +50,7 @@ def part_c(demo_poset) -> ChainPartition:
 def enumerate_min_cost(net):
     """Oracle: try every integral assignment within the arc bounds and keep
     the cheapest feasible one. Only for tiny networks."""
-    from chainforge import flow_cost, is_feasible
+    from chainforge.flow import flow_cost, is_feasible
 
     arcs = list(net.arcs)
     assert len(arcs) <= 12

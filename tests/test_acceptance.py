@@ -14,27 +14,29 @@ import pytest
 
 from chainforge import (
     SchemeParams,
-    brute_minimum,
-    build_flow_network,
     bundle_labels,
     correctness_audit,
     derivation_tree,
-    eliminate_lower_bounds,
-    flow_cost,
-    is_feasible,
     issued_secrets,
     issued_secrets_via_bottoms,
     issued_secrets_via_tree,
-    min_cost_flow,
     optimal_partition,
     random_chain_partition,
     random_policy,
-    restore_lower_bounds,
     secret_holders,
     setup,
     seeded_entropy,
 )
+from chainforge.brute import brute_minimum
 from chainforge.cli import main
+from chainforge.flow import (
+    build_flow_network,
+    eliminate_lower_bounds,
+    flow_cost,
+    is_feasible,
+    min_cost_flow,
+    restore_lower_bounds,
+)
 from chainforge.formats import policy_text
 from chainforge.policy import augment_with_maximum
 

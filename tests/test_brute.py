@@ -1,12 +1,7 @@
 import pytest
 
-from chainforge import (
-    Policy,
-    Poset,
-    brute_minimum,
-    enumerate_chain_partitions,
-    issued_secrets,
-)
+from chainforge import Policy, Poset, issued_secrets
+from chainforge.brute import brute_minimum, enumerate_chain_partitions
 from chainforge.errors import TooLarge
 
 from conftest import random_policies

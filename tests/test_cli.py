@@ -133,6 +133,14 @@ class TestPartition:
         assert got["chains"] == "2"
         assert sorted(out_file.read_text().split()) == ["x", "y"]
 
+    def test_unwritable_out_prints_only_the_error(self, capsys, demo_file, tmp_path):
+        out_file = tmp_path / "no-such-dir" / "demo.partition"
+        code, out, err = run(capsys, "partition", demo_file, "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(out_file) in err
+
 
 class TestEvaluate:
     @pytest.mark.parametrize(
@@ -462,3 +470,13 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "width: 2" in proc.stdout.splitlines()
+
+    def test_python_dash_m_cli_module_runs_the_cli(self, demo_file):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainforge.cli", "partition", demo_file],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert "khat: 13" in proc.stdout.splitlines()
+        assert proc.stderr == ""

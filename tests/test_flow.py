@@ -1,20 +1,21 @@
 import pytest
 
-from chainforge import (
-    Policy,
-    Poset,
+from chainforge import Policy, Poset, link_cost
+from chainforge import flow as flow_module
+from chainforge.errors import Infeasible, NoMaximum
+from chainforge.flow import (
+    BOTTOM,
+    FlowNetwork,
     build_flow_network,
     dump_network,
     eliminate_lower_bounds,
     flow_cost,
     is_feasible,
-    link_cost,
     min_cost_flow,
     restore_lower_bounds,
+    vin,
+    vout,
 )
-from chainforge import flow as flow_module
-from chainforge.errors import Infeasible, NoMaximum
-from chainforge.flow import BOTTOM, FlowNetwork, vin, vout
 from chainforge.policy import augment_with_maximum
 
 from conftest import brute_max_antichain, enumerate_min_cost, random_policies

@@ -1,24 +1,35 @@
 import dataclasses
+import random
 
 import pytest
 
 from chainforge import (
     ChainPartition,
+    OptimizationResult,
     Policy,
     Poset,
-    brute_minimum,
-    build_flow_network,
+    augment_with_maximum,
     derivation_tree,
-    eliminate_lower_bounds,
     issued_secrets,
-    min_cost_flow,
+    max_bundle_size,
     optimal_partition,
-    partition_from_flow,
-    restore_lower_bounds,
+    random_policy,
     verify_result,
 )
+from chainforge.brute import brute_minimum
 from chainforge.errors import MalformedFlow, NoMaximum, NotAFeasibleFlow
-from chainforge.flow import BOTTOM, vin, vout
+from chainforge.flow import (
+    BOTTOM,
+    build_flow_network,
+    eliminate_lower_bounds,
+    flow_cost,
+    min_cost_flow,
+    restore_lower_bounds,
+    vin,
+    vout,
+)
+from chainforge.formats import partition_text
+from chainforge.optimize import partition_from_flow
 
 from conftest import random_policies
 
@@ -180,3 +191,97 @@ class TestVerifyResult:
     def test_rejects_tampered_kmax(self, demo_unit):
         res = optimal_partition(demo_unit)
         assert not verify_result(demo_unit, dataclasses.replace(res, kmax=3))
+
+
+def flow_oracle(policy):
+    """optimal_partition's answer computed through the flow network: build,
+    eliminate lower bounds, min-cost flow, restore, decode."""
+    work, top, added = augment_with_maximum(policy)
+    net = build_flow_network(work)
+    reduced, _ = eliminate_lower_bounds(net)
+    f = restore_lower_bounds(net, min_cost_flow(reduced))
+    pi = partition_from_flow(work, f, net)
+    if added:
+        chains = tuple(c[1:] if c[0] == top else c for c in pi.chains)
+        pi = ChainPartition(tuple(c for c in chains if c))
+    return OptimizationResult(
+        partition=pi,
+        khat=issued_secrets(policy, pi),
+        width=net.balance[vout(top)],
+        flow_cost=flow_cost(net, f),
+        kmax=max_bundle_size(policy, pi),
+    )
+
+
+def total_order(n, seed, top_first):
+    labels = [f"c{i}" for i in range(n)]
+    covers = [(labels[i], labels[i + 1]) for i in range(n - 1)]
+    rng = random.Random(seed)
+    users = {x: rng.randint(0, 5) for x in labels}
+    return Policy(Poset(labels[::-1] if top_first else labels, covers), users)
+
+
+def fence(tops, seed, reverse):
+    """b_i < t_i and b_i < t_(i-1); tops declared first, in increasing or
+    decreasing index order."""
+    t = [f"t{i}" for i in range(tops)]
+    b = [f"b{i}" for i in range(tops)]
+    covers = [(b[i], t[i]) for i in range(tops)] + [(b[i], t[i - 1]) for i in range(1, tops)]
+    labels = (t[::-1] if reverse else t) + b
+    rng = random.Random(seed)
+    return Policy(Poset(labels, covers), {x: rng.randint(0, 5) for x in labels})
+
+
+def with_maximum_at(policy, position):
+    """The policy plus a new maximum above its maximal elements, declared at
+    the given position of the element list."""
+    p = policy.poset
+    labels = list(p.elements)
+    labels.insert(position, "top")
+    covers = p.covers + tuple((m, "top") for m in p.maximal_elements())
+    return Policy(Poset(labels, covers), {**policy.user_count, "top": 3})
+
+
+class TestAgainstFlowOracle:
+    """optimal_partition solves the flow network on bitmasks with the same
+    tie-breaking as min_cost_flow, so it must return the oracle's partition,
+    not only an equally cheap one."""
+
+    def assert_same(self, policy):
+        got, want = optimal_partition(policy), flow_oracle(policy)
+        assert partition_text(got.partition) == partition_text(want.partition)
+        assert (got.khat, got.width, got.kmax, got.flow_cost) == (
+            want.khat, want.width, want.kmax, want.flow_cost,
+        )
+
+    def test_random_policies(self):
+        for policy in random_policies(150, 24, seed=503):
+            self.assert_same(policy)
+        for i, density in enumerate((0.05, 0.1, 0.3)):
+            self.assert_same(random_policy(70, density, seed=517 + i))
+
+    @pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
+    def test_total_orders(self, top_first):
+        for n, seed in ((1, 0), (2, 1), (7, 2), (60, 3)):
+            self.assert_same(total_order(n, seed, top_first))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["increasing", "reversed"])
+    def test_fences(self, reverse):
+        for tops, seed in ((3, 0), (3, 1), (40, 2), (40, 3)):
+            self.assert_same(fence(tops, seed, reverse))
+
+    def test_maximum_declared_first_mid_list_and_last(self):
+        for policy in random_policies(12, 14, seed=521, min_n=2):
+            n = len(policy.poset)
+            for position in (0, n // 2, n):
+                self.assert_same(with_maximum_at(policy, position))
+
+    def test_zero_users(self):
+        for policy in random_policies(24, 16, seed=523):
+            self.assert_same(Policy(policy.poset))
+        self.assert_same(Policy(fence(40, 0, False).poset))
+        self.assert_same(Policy(total_order(30, 0, False).poset))
+
+    def test_single_label(self):
+        for users in (0, 4):
+            self.assert_same(Policy(Poset(["solo"]), {"solo": users}))
