@@ -42,21 +42,37 @@ def enumerate_chain_partitions(p: Poset, limit: int = DEFAULT_LIMIT) -> Iterator
             tuple(sorted((tuple(c) for c in chains), key=lambda c: p.index[c[-1]]))
         )
 
-    def place(i: int) -> Iterator[ChainPartition]:
-        if i == len(order):
-            yield emit()
-            return
-        x = order[i]
-        for c in chains:
-            if p.lt(x, c[-1]):
-                c.append(x)
-                yield from place(i + 1)
-                c.pop()
-        chains.append([x])
-        yield from place(i + 1)
-        chains.pop()
+    def options(x: str) -> Iterator[list[str]]:
+        # the chains x can extend at the bottom, then a new chain of its own
+        return iter([c for c in chains if p.lt(x, c[-1])] + [[]])
 
-    yield from place(0)
+    if not order:
+        yield emit()
+        return
+    # depth-first over the placements, on an explicit stack so that the
+    # depth is not bounded by recursion: choices[i] runs through the
+    # options of order[i], and placed[i] is the chain it is in now
+    choices = [options(order[0])]
+    placed: list[list[str]] = []
+    while choices:
+        i = len(choices) - 1
+        if len(placed) > i:  # take back the previous placement of order[i]
+            c = placed.pop()
+            c.pop()
+            if not c:
+                chains.pop()
+        c = next(choices[-1], None)
+        if c is None:
+            choices.pop()
+            continue
+        if not c:
+            chains.append(c)
+        c.append(order[i])
+        placed.append(c)
+        if i + 1 == len(order):
+            yield emit()
+        else:
+            choices.append(options(order[i + 1]))
 
 
 @dataclass(frozen=True)

@@ -36,20 +36,18 @@ def random_policy(n: int, density: float, seed: int) -> Policy:
         for j in range(i + 1, n):
             if rng.random() < density:
                 direct[i] |= 1 << j
-    above: list[int] = [0] * n  # strict reachability over positions
+    # strict reachability over positions, and the transitive reduction: i < j
+    # is a cover when nothing sits strictly between, that is when j is not
+    # above any direct successor of i
+    above: list[int] = [0] * n
+    kept: list[int] = [0] * n  # position i -> bitmask of its covers
     for i in range(n - 1, -1, -1):
-        reach = direct[i]
+        implied = 0
         for j in _bit_indices(direct[i]):
-            reach |= above[j]
-        above[i] = reach
-
-    # transitive reduction: keep i < j only when nothing sits strictly between
-    covers = [
-        (order[i], order[j])
-        for i in range(n)
-        for j in _bit_indices(above[i])
-        if not any(above[k] >> j & 1 for k in _bit_indices(above[i]))
-    ]
+            implied |= above[j]
+        above[i] = direct[i] | implied
+        kept[i] = direct[i] & ~implied
+    covers = [(order[i], order[j]) for i in range(n) for j in _bit_indices(kept[i])]
 
     counts = {lab: rng.randint(0, 5) for lab in labels}
     return Policy(Poset(labels, covers), counts)

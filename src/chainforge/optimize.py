@@ -16,7 +16,7 @@ bitmask solver is tested against.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
@@ -153,16 +153,27 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     out-nodes routed to it. Edges back into the source never improve a
     distance.
 
+    Each potential is kept as base(v) + shift, and each search runs in
+    distances shifted by that same shift, so no search rebuilds O(n)
+    state. After a search every node not settled closer than the sink
+    moves by the sink's distance, which is the new shift; only the nodes
+    settled closer correct their base. The state that depends on the
+    potentials persists across searches and is repaired for those nodes
+    only: the free out-nodes' source offers, kept as one sorted key list
+    (a sorted list is a heap, so a search starts from a slice of it), and
+    the in-nodes sorted by b(y) = W(y) - base(in y), with prefix masks.
+
     An out-node x settled at distance d offers each in-node y below it
-    a + b(y), with a = d + pot(out x) - W(x) and b(y) = W(y) - pot(in y),
-    so its offers are one mask operation on x's down-set: in-nodes not yet
-    reached take it, reached ones only if a is below their best offer so
-    far. Offers above a bound on the sink's distance are dropped: such a
-    node is never settled before the sink, and its potential moves by the
-    sink's distance either way. The in-nodes sorted by b(y) turn the bound
-    into one more mask. A minimal label's out-node relaxes nothing but the
-    bottom node, so it is only put on the heap when it can be the first to
-    reach the bottom node.
+    a + b(y), with a = d + base(out x) - W(x), so its offers are one mask
+    operation on x's down-set: in-nodes not yet reached take it, reached
+    ones only if a is below their best offer so far. Offers above a bound
+    on the sink's distance are dropped: such a node is never settled
+    before the sink, and its potential moves by the sink's distance
+    either way. The in-nodes sorted by b(y) turn the bound into one more
+    mask. A minimal label's out-node relaxes nothing but the bottom node.
+    While free its potential stays 0, so only the lowest free one can be
+    the first to reach the bottom node; once routed to the bottom node it
+    is a dead end whose potential is never read.
     """
     p = work.poset
     n = len(p)
@@ -180,11 +191,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     # y + 1 and out(x) is OUT + x for declaration indices x, y (in(r) is unused)
     SINK, OUT, BOT, SRC = 0, n + 1, 2 * n + 1, 2 * n + 2
     size = 2 * n + 3
-    in_ids = [y + 1 for y in range(n) if y != r]
     in_bit = [0] + [1 << y for y in range(n)]  # by in-node id
-    inner = [OUT + x for x in range(n) if below[x]]
-    leaves = [OUT + x for x in range(n) if not below[x]]
-    pot = [0] * size
+    leaves = sum(1 << x for x in range(n) if not below[x])
+    inner = ((1 << n) - 1) ^ leaves
     parent = [r] * n  # chain parent of every matched in-node
     kids = [0] * n  # in-nodes that out(x) sends its flow to
     supply = [1] * n  # units left on the source edge of out(x)
@@ -197,108 +206,160 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     INF = float("inf")
     heappush, heappop = heapq.heappush, heapq.heappop
 
+    # the potential of node v is base[v] + shift; the sink's base stays 0
+    # (it is settled at the sink's distance) and a free minimal label's
+    # out-node has potential 0, so neither is kept
+    base = [0] * size
+    shift = 0
+    # the source offers of the free out-nodes of non-minimal labels, as
+    # sorted heap keys (shifted distance -base[v], node id)
+    offers = [OUT + x for x in range(n) if below[x]]
+    # shifted distances and predecessors; between searches an out-node
+    # holds its source offer and the source
+    dist: list[float] = [INF] * size
+    for v in offers:
+        dist[v] = 0
+    prev = [SRC] * size
+    # the in-nodes as sorted keys (b(y), node id), their bits and the
+    # prefix masks: within[k] holds the first k of them
+    offset = [0] + weight  # b(y) by in-node id
+    keys = sorted(y + 1 + weight[y] * size for y in range(n) if y != r)
+    bits = [in_bit[k % size] for k in keys]
+    within = list(accumulate(bits, or_, initial=0))
+    best = [0] * n  # a(y) of every in-node reached in the current search
+
     for _ in range(n - 1 + w):
-        psink = pot[SINK]
-        # the reduced length of a source-sink path found so far: source ->
-        # out(x) -> bottom -> sink costs 0, that is -pot(sink) reduced
-        bound = -psink if bottom_left and free & ~to_bottom else INF
-        dist: list[float] = [INF] * size
-        dist[OUT:BOT] = [-pv if s and -pv <= bound else INF for pv, s in zip(pot[OUT:BOT], supply)]
-        dist[SRC] = 0
-        prev = [SRC] * size
-        # every out-node reached from the source offers the bottom node the
-        # same -pot(bottom); of the minimal labels' out-nodes, which offer
-        # nothing else, only the first in heap order can be the first to do so
-        heap = [dist[v] * size + v for v in inner if dist[v] != INF]
-        first_leaf = min((dist[v] * size + v for v in leaves if dist[v] != INF), default=None)
-        if first_leaf is not None:
-            heap.append(first_leaf)
-        heapq.heapify(heap)
-        offset = [0] + [wy - py for wy, py in zip(weight, pot[1:OUT])]  # b(y) by in-node id
-        order = sorted(in_ids, key=offset.__getitem__)
-        ascending = list(map(offset.__getitem__, order))
-        within = list(accumulate(map(in_bit.__getitem__, order), or_, initial=0))
-        best = [0] * n  # a(y) of every reached in-node
+        # a bound on the sink's shifted distance, which is its true one as
+        # its base is 0: the path source -> out(x) -> bottom -> sink costs 0
+        bound = 0 if bottom_left and free & ~to_bottom else INF
+        heap = offers[: bisect_left(offers, (bound + 1) * size)]
+        first = free & leaves
+        if first:  # the lowest free minimal label's out-node, at potential 0
+            heappush(heap, shift * size + OUT - 1 + (first & -first).bit_length())
         unreached, pending = all_in, 0
+        settled = []  # heap keys of the nodes settled before the sink, in order
+        touched = []  # out-nodes whose distance or predecessor changed
 
         while True:
             if not heap:
                 raise InternalError("the flow network's sink is unreachable")
-            d, u = divmod(heappop(heap), size)
-            if d > dist[u]:
-                continue
+            key = heappop(heap)
+            d, u = divmod(key, size)
             if u == SINK:
                 break
-            du = d + pot[u]
             if u < OUT:  # in(y)
                 y = u - 1
                 bit = 1 << y
+                if not pending & bit:  # settled already: a stale entry
+                    continue
                 pending ^= bit
+                settled.append(key)
+                du = d + base[u]
                 if matched & bit:
                     x = parent[y]
                     v = OUT + x
-                    nd = du + weight[x] - weight[y] - pot[v]
-                else:
-                    v = SINK
-                    nd = du - psink
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev[v] = u
-                    heappush(heap, nd * size + v)
-            elif u < BOT:  # out(x)
+                    nd = du + weight[x] - weight[y] - base[v]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        prev[v] = u
+                        touched.append(v)
+                        heappush(heap, nd * size + v)
+                elif du < dist[SINK]:
+                    dist[SINK] = du
+                    prev[SINK] = u
+                    heappush(heap, du * size)
+                continue
+            if d > dist[u]:
+                continue
+            settled.append(key)
+            if u < BOT:  # out(x)
                 x = u - OUT
-                a = du - weight[x]
-                cand = below[x] & ~kids[x] & within[bisect_right(ascending, bound - a)]
-                better = cand & unreached
-                old = cand & pending
-                while old:
-                    low = old & -old
-                    old ^= low
-                    if a < best[low.bit_length() - 1]:
-                        better |= low
-                unreached &= ~better
-                pending |= better
-                while better:
-                    low = better & -better
-                    better ^= low
-                    v = low.bit_length()
-                    nd = a + offset[v]
-                    dist[v] = nd
-                    prev[v] = u
-                    best[v - 1] = a
-                    heappush(heap, nd * size + v)
-                    if not matched & low and nd + pot[v] - psink < bound:
-                        bound = nd + pot[v] - psink
+                if below[x]:
+                    du = d + base[u]
+                    a = du - weight[x]
+                    cand = below[x] & ~kids[x] & within[bisect_left(keys, (bound - a + 1) * size)]
+                    better = cand & unreached
+                    old = cand & pending
+                    while old:
+                        low = old & -old
+                        old ^= low
+                        if a < best[low.bit_length() - 1]:
+                            better |= low
+                    unreached &= ~better
+                    pending |= better
+                    while better:
+                        low = better & -better
+                        better ^= low
+                        v = low.bit_length()
+                        nd = a + offset[v]
+                        prev[v] = u
+                        best[v - 1] = a
+                        heappush(heap, nd * size + v)
+                        if not matched & low and nd + base[v] < bound:
+                            bound = nd + base[v]
+                else:  # the lowest free minimal label's out-node, at potential 0
+                    du = d - shift
                 if not to_bottom >> x & 1:
-                    nd = du - pot[BOT]
+                    nd = du - base[BOT]
                     if nd < dist[BOT]:
                         dist[BOT] = nd
                         prev[BOT] = u
                         heappush(heap, nd * size + BOT)
             else:  # the bottom node
-                m = to_bottom
+                du = d + base[BOT]
+                m = to_bottom & inner
                 while m:
                     low = m & -m
                     m ^= low
                     v = OUT - 1 + low.bit_length()
-                    nd = du - pot[v]
+                    nd = du - base[v]
                     if nd < dist[v]:
                         dist[v] = nd
                         prev[v] = u
-                        if below[v - OUT]:  # else out(x) of a minimal x: a dead end
-                            heappush(heap, nd * size + v)
-                if bottom_left:
-                    nd = du - psink
-                    if nd < dist[SINK]:
-                        dist[SINK] = nd
-                        prev[SINK] = u
-                        heappush(heap, nd * size + SINK)
+                        touched.append(v)
+                        heappush(heap, nd * size + v)
+                if bottom_left and du < dist[SINK]:
+                    dist[SINK] = du
+                    prev[SINK] = u
+                    heappush(heap, du * size)
 
-        dsink = dist[SINK]
-        pot = [pv + (dv if dv < dsink else dsink) for pv, dv in zip(pot, dist)]
+        # correct the nodes settled closer than the sink:
+        # base += dist - dist(sink)
+        moved = []  # such in-nodes, to be re-placed in the b(y) order
+        for key in settled[: bisect_left(settled, d * size)]:
+            t, v = divmod(key, size)
+            if v < OUT:
+                moved.append(v)
+            elif v < BOT:
+                if not below[v - OUT]:  # a minimal label's: its potential is not kept
+                    continue
+                touched.append(v)
+                if free >> (v - OUT) & 1:  # re-key its source offer
+                    del offers[bisect_left(offers, -base[v] * size + v)]
+                    insort(offers, (d - t - base[v]) * size + v)
+            base[v] += t - d
+        if moved:
+            # a settled in-node's b(y) only grows: the prefix masks change
+            # from the first position one left to the last one entered
+            gone = [bisect_left(keys, offset[v] * size + v) for v in moved]
+            for k in sorted(gone, reverse=True):
+                del keys[k]
+                del bits[k]
+            for v in moved:
+                offset[v] = weight[v - 1] - base[v]
+                k = bisect_left(keys, offset[v] * size + v)
+                keys.insert(k, offset[v] * size + v)
+                bits.insert(k, in_bit[v])
+            lo = min(gone)
+            hi = max(bisect_left(keys, offset[v] * size + v) for v in moved)
+            within[lo : hi + 2] = accumulate(bits[lo : hi + 1], or_, initial=within[lo])
+        shift = d
+
         # push one unit along the path, walking back from the sink
         v = SINK
-        while v != SRC:
+        for _ in range(size):
+            if v == SRC:
+                break
             u = prev[v]
             if v == SINK:
                 if u == BOT:
@@ -311,14 +372,26 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
             elif v == BOT:
                 to_bottom |= 1 << (u - OUT)
             elif u == SRC:
-                supply[v - OUT] -= 1
-                if not supply[v - OUT]:
-                    free ^= 1 << (v - OUT)
+                x = v - OUT
+                supply[x] -= 1
+                if not supply[x]:
+                    free ^= 1 << x
+                    if below[x]:
+                        del offers[bisect_left(offers, -base[v] * size + v)]
+                        touched.append(v)
             elif u == BOT:
                 to_bottom ^= 1 << (v - OUT)
             else:  # in(y) -> out(x): out(x) -> in(y) gives its unit back
                 kids[v - OUT] ^= 1 << (u - 1)
             v = u
+        else:
+            raise InternalError("the augmenting path does not lead back to the source")
+
+        # reset the search state: out-nodes to their source offers
+        dist[SINK] = dist[BOT] = INF
+        for v in touched:
+            dist[v] = -base[v] if free >> (v - OUT) & 1 else INF
+            prev[v] = SRC
 
     labels = p.elements
     links = {labels[y]: labels[parent[y]] for y in range(n) if y != r}

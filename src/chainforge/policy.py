@@ -42,7 +42,7 @@ class Policy:
         for lab, cnt in (user_count or {}).items():
             if lab not in poset:
                 raise UnknownLabel(f"user count for unknown label {lab!r}")
-            if not isinstance(cnt, int) or cnt < 0:
+            if not isinstance(cnt, int) or isinstance(cnt, bool) or cnt < 0:
                 raise ValueError(f"user count for {lab!r} must be a nonnegative integer")
             counts[lab] = cnt
         self.poset = poset

@@ -81,27 +81,23 @@ class Poset:
         self.elements = elements
         self.covers = covers
         self.index = index
-        self._down = self._closure(parents, children)
-        # transpose: up[y] bit x  <=>  down[x] bit y
-        up = [0] * len(elements)
-        for ix, mask in enumerate(self._down):
-            m = mask
-            while m:
-                low = m & -m
-                up[low.bit_length() - 1] |= 1 << ix
-                m ^= low
-        self._up = up
+        self._down, self._up = self._closure(parents, children)
         self._reject_redundant_covers()
 
-    def _closure(self, parents: list[list[int]], children: list[list[int]]) -> list[int]:
+    def _closure(
+        self, parents: list[list[int]], children: list[list[int]]
+    ) -> tuple[list[int], list[int]]:
+        """The down-set and up-set masks of every element: down-sets in a
+        topological pass from the minimal elements, up-sets in the same
+        order reversed."""
         n = len(self.elements)
         indeg = [len(children[i]) for i in range(n)]
         queue = deque(i for i in range(n) if indeg[i] == 0)
         down = [0] * n
-        done = 0
+        order = []
         while queue:
             i = queue.popleft()
-            done += 1
+            order.append(i)
             mask = 1 << i
             for c in children[i]:
                 mask |= down[c]
@@ -110,7 +106,7 @@ class Poset:
                 indeg[p] -= 1
                 if indeg[p] == 0:
                     queue.append(p)
-        if done != n:
+        if len(order) != n:
             # walk backwards through unresolved nodes until one repeats
             left = {i for i in range(n) if indeg[i] > 0}
             node = next(iter(left))
@@ -119,7 +115,13 @@ class Poset:
                 trail.append(node)
                 node = next(c for c in children[node] if c in left)
             raise CycleDetected(self.elements[node])
-        return down
+        up = [0] * n
+        for i in reversed(order):
+            mask = 1 << i
+            for p in parents[i]:
+                mask |= up[p]
+            up[i] = mask
+        return down, up
 
     def _reject_redundant_covers(self) -> None:
         for child, parent in self.covers:

@@ -66,6 +66,36 @@ class TestEnumeration:
                 assert key not in seen
                 seen.add(key)
 
+    def test_same_sequence_as_recursive_placement(self):
+        def recursive(p):
+            order = list(reversed(p.linear_extension()))
+            chains = []
+
+            def place(i):
+                if i == len(order):
+                    yield tuple(sorted((tuple(c) for c in chains), key=lambda c: p.index[c[-1]]))
+                    return
+                for c in chains:
+                    if p.lt(order[i], c[-1]):
+                        c.append(order[i])
+                        yield from place(i + 1)
+                        c.pop()
+                chains.append([order[i]])
+                yield from place(i + 1)
+                chains.pop()
+
+            return list(place(0))
+
+        posets = [policy.poset for policy in random_policies(30, 7, seed=313)]
+        for p in posets + [chain_poset(6), Poset(["x", "y", "z"])]:
+            assert [pi.chains for pi in enumerate_chain_partitions(p)] == recursive(p)
+
+    def test_long_total_order_does_not_recurse(self):
+        # one placement level per label: a recursive search exceeds the
+        # interpreter's stack limit long before 1 500 labels
+        first = next(enumerate_chain_partitions(chain_poset(1500), limit=2000))
+        assert first.chains == (tuple(f"c{i}" for i in reversed(range(1500))),)
+
     def test_size_cap(self):
         big = Poset([f"x{i}" for i in range(10)])
         with pytest.raises(TooLarge):

@@ -260,14 +260,25 @@ class TestAgainstFlowOracle:
         for i, density in enumerate((0.05, 0.1, 0.3)):
             self.assert_same(random_policy(70, density, seed=517 + i))
 
+    def test_mid_size_random_policies(self):
+        # large enough that settled in-nodes cross many others in the b(y)
+        # order and out-nodes are corrected while their offers are queued
+        for i in range(12):
+            n = 50 + 30 * i // 11
+            density = (0.05, 0.1, 0.15, 0.2)[i % 4]
+            self.assert_same(random_policy(n, density, seed=531 + i))
+
     @pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
     def test_total_orders(self, top_first):
         for n, seed in ((1, 0), (2, 1), (7, 2), (60, 3)):
             self.assert_same(total_order(n, seed, top_first))
 
+    def test_long_total_order(self):
+        self.assert_same(total_order(200, 4, False))
+
     @pytest.mark.parametrize("reverse", [False, True], ids=["increasing", "reversed"])
     def test_fences(self, reverse):
-        for tops, seed in ((3, 0), (3, 1), (40, 2), (40, 3)):
+        for tops, seed in ((3, 0), (3, 1), (40, 2), (40, 3), (120, 4)):
             self.assert_same(fence(tops, seed, reverse))
 
     def test_maximum_declared_first_mid_list_and_last(self):

@@ -48,6 +48,12 @@ class TestPolicy:
         with pytest.raises(ValueError):
             Policy(demo_poset, {"a": -1})
 
+    @pytest.mark.parametrize("count", [True, False, 1.0, "1"])
+    def test_non_integer_count_rejected(self, demo_poset, count):
+        # policy_text would write "a=True", which parse_policy rejects
+        with pytest.raises(ValueError):
+            Policy(demo_poset, {"a": count})
+
 
 class TestChainPartition:
     def test_from_blocks_orders_top_first(self, demo_poset):

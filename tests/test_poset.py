@@ -1,6 +1,6 @@
 import pytest
 
-from chainforge import Poset, build_poset, ensure_maximum
+from chainforge import Poset, build_poset, ensure_maximum, random_policy
 from chainforge.errors import (
     CycleDetected,
     DuplicateLabel,
@@ -105,6 +105,25 @@ class TestOrderQueries:
                 assert x in p.up_set(x) and x in p.down_set(x)
                 for y in p.elements:
                     assert (y in p.up_set(x)) == (x in p.down_set(y)) == p.leq(x, y)
+
+    def test_up_sets_are_the_transposed_down_sets(self):
+        def transposed(p):
+            n = len(p)
+            return [sum(1 << x for x in range(n) if p._down[x] >> y & 1) for y in range(n)]
+
+        k = 30
+        tops = [f"t{i}" for i in range(k)]
+        bottoms = [f"b{i}" for i in range(k)]
+        fence = [(bottoms[i], tops[i]) for i in range(k)]
+        fence += [(bottoms[i], tops[i - 1]) for i in range(1, k)]
+        chain = [(f"c{i}", f"c{i + 1}") for i in range(k - 1)]
+        posets = [policy.poset for policy in random_policies(40, 30, seed=13)]
+        posets += [random_policy(80, d, seed=17).poset for d in (0.05, 0.2)]
+        posets += [Poset(tops + bottoms, fence), Poset(tops[::-1] + bottoms, fence)]
+        posets += [Poset([f"c{i}" for i in range(k)], chain)]
+        posets += [Poset([f"c{i}" for i in reversed(range(k))], chain)]
+        for p in posets:
+            assert p._up == transposed(p)
 
 
 class TestWidth:
