@@ -52,11 +52,6 @@ class SchemeParams:
     def secret_size(self) -> int:
         return self.security_bits // 8
 
-    @property
-    def function_ids(self) -> tuple[str, str]:
-        """Identifiers of F and H, recorded so outputs are reproducible."""
-        return (f"{self.hash_name}-01", f"{self.hash_name}-02")
-
     def apply_f(self, secret: bytes) -> bytes:
         return hashlib.new(self.hash_name, _F_PREFIX + secret).digest()[: self.secret_size]
 

@@ -144,6 +144,10 @@ def _cmd_setup(args) -> int:
     pi = parse_partition(_read(args.partition), policy.poset)
     entropy = _entropy_from_args(args)
     params = _scheme_params(args)
+    holders = [x for x in policy.poset.elements if policy.count(x) > 0]
+    for x in holders:  # all checked before anything is written
+        if "\0" in x or os.path.basename(x) != x:
+            raise ParseError(f"label {x!r} cannot name a bundle file")
     material = ces.setup(policy, pi, params, entropy)
 
     outdir = Path(args.export)
@@ -152,7 +156,6 @@ def _cmd_setup(args) -> int:
         ces.export_material(material, include_secrets=args.unsafe_export),
         encoding="utf-8",
     )
-    holders = [x for x in policy.poset.elements if policy.count(x) > 0]
     for x in holders:
         bundle = ces.issue_bundle(material, policy, x)
         (outdir / f"bundle-{x}.txt").write_text(ces.bundle_to_text(bundle), encoding="utf-8")

@@ -308,14 +308,3 @@ def is_feasible(net: FlowNetwork, flow: Flow) -> bool:
         if arc not in net.arcs and f != 0:
             return False
     return all(net_out[v] - net_in[v] == net.balance[v] for v in net.nodes)
-
-
-def dump_network(net: FlowNetwork) -> str:
-    """Plain-text dump: one "from to lower upper cost" line per arc, then
-    one "node balance" line per node. For external solver cross-checks."""
-    lines = [
-        f"{node_name(u)} {node_name(v)} {a.lower} {a.upper} {a.cost}"
-        for (u, v), a in net.arcs.items()
-    ]
-    lines += [f"{node_name(v)} {net.balance[v]}" for v in net.nodes]
-    return "\n".join(lines) + "\n"

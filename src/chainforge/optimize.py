@@ -57,21 +57,19 @@ class OptimizationResult:
     kmax: int
 
 
-def partition_from_flow(policy: Policy, flow: Flow, net=None) -> ChainPartition:
+def partition_from_flow(policy: Policy, flow: Flow) -> ChainPartition:
     """Decode a feasible flow on the policy's network into the chain
     partition it encodes.
 
     Unit flow on out(x) -> in(y) makes x the chain-parent of y; the chains
     are read off those links as :func:`_chains_from_parents` describes.
-    Pass ``net`` to reuse an already-built network for this policy; w is
-    read from its balance at out(r).
+    w is read from the network's balance at out(r).
     """
     p = policy.poset
     r = p.maximum()
     if r is None:
         raise NoMaximum("flow decoding requires a unique maximum element")
-    if net is None:
-        net = build_flow_network(policy)
+    net = build_flow_network(policy)
     w = net.balance[vout(r)]
 
     parent: dict[str, str] = {}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InvalidPartition, NoMaximum, NotComparable, UnknownLabel
-from .poset import Poset, ensure_maximum
+from .poset import Poset
 
 
 class Policy:
@@ -86,12 +86,6 @@ class ChainPartition:
     def bottoms(self) -> tuple[str, ...]:
         return tuple(c[-1] for c in self.chains)
 
-    def canonical(self, poset: Poset) -> "ChainPartition":
-        """Chains reordered by their bottom element's declaration index."""
-        return ChainPartition(
-            tuple(sorted(self.chains, key=lambda c: poset.index[c[-1]]))
-        )
-
 
 @dataclass(frozen=True)
 class DerivationTree:
@@ -99,11 +93,7 @@ class DerivationTree:
     non-root chain top attached directly under the maximum."""
 
     root: str
-    parent: dict[str, str]
-
-    def edges(self) -> Iterable[tuple[str, str]]:
-        """(child, parent) pairs."""
-        return self.parent.items()
+    parent: dict[str, str]  # child -> parent
 
 
 def _require_partition(policy: Policy, pi: ChainPartition) -> None:
@@ -209,7 +199,7 @@ def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:
     classes that must hold the child's secret."""
     tree = derivation_tree(policy, pi)
     total = len(pi.chains) * policy.count(tree.root)
-    for child, parent in tree.edges():
+    for child, parent in tree.parent.items():
         total += link_cost(policy, parent, child)
     return total
 
@@ -225,16 +215,25 @@ def issued_secrets_via_bottoms(policy: Policy, pi: ChainPartition) -> int:
 def augment_with_maximum(policy: Policy) -> tuple[Policy, str, bool]:
     """Policy with a guaranteed unique maximum.
 
-    Returns ``(policy, top, added)``; the synthetic top, when added, carries
-    user count zero so all metrics are unchanged.
+    Returns ``(policy, top, added)``. A policy whose poset already has a
+    maximum is returned itself. Otherwise a fresh synthetic top (``r``, or
+    ``r1``, ``r2``, ... if taken) covers every maximal element and carries
+    user count zero, so all metrics are unchanged. Idempotent.
     """
-    top = policy.poset.maximum()
+    p = policy.poset
+    if len(p) == 0:
+        raise ValueError("cannot add a maximum to an empty poset")
+    top = p.maximum()
     if top is not None:
         return policy, top, False
-    poset2, top = ensure_maximum(policy.poset)
+    top, k = "r", 0
+    while top in p:
+        k += 1
+        top = f"r{k}"
+    covers = p.covers + tuple((m, top) for m in p.maximal_elements())
     counts = dict(policy.user_count)
     counts[top] = 0
-    return Policy(poset2, counts), top, True
+    return Policy(Poset(p.elements + (top,), covers), counts), top, True
 
 
 def attach_to_maximum(policy: Policy, pi: ChainPartition) -> tuple[Policy, ChainPartition]:

@@ -273,30 +273,3 @@ class Poset:
                 key=lambda x: (self._down[self.index[x]].bit_count(), self.index[x]),
             )
         )
-
-
-def build_poset(elements: Sequence[str], covers: Iterable[tuple[str, str]] = ()) -> Poset:
-    """Validate and build a poset from elements and (child, parent) covers."""
-    return Poset(elements, covers)
-
-
-def ensure_maximum(p: Poset) -> tuple[Poset, str]:
-    """Return a poset with a unique maximum, plus that maximum's label.
-
-    If ``p`` already has one, ``p`` itself is returned unchanged. Otherwise
-    a fresh synthetic top is added covering every maximal element; callers
-    that track user counts must give it count zero so metrics are
-    unaffected. Idempotent.
-    """
-    if len(p) == 0:
-        raise ValueError("cannot add a maximum to an empty poset")
-    top = p.maximum()
-    if top is not None:
-        return p, top
-    label = "r"
-    k = 0
-    while label in p:
-        k += 1
-        label = f"r{k}"
-    covers = p.covers + tuple((m, label) for m in p.maximal_elements())
-    return Poset(p.elements + (label,), covers), label

@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from chainforge import ChainPartition, Policy, Poset, random_policy
+from chainforge import ChainPartition, Policy, Poset
+from chainforge.gen import random_policy
 
 DEMO_ELEMENTS = tuple("abcdefgh")
 DEMO_COVERS = (

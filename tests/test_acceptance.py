@@ -12,22 +12,9 @@ import time
 
 import pytest
 
-from chainforge import (
-    SchemeParams,
-    bundle_labels,
-    correctness_audit,
-    derivation_tree,
-    issued_secrets,
-    issued_secrets_via_bottoms,
-    issued_secrets_via_tree,
-    optimal_partition,
-    random_chain_partition,
-    random_policy,
-    secret_holders,
-    setup,
-    seeded_entropy,
-)
+from chainforge import SchemeParams, optimal_partition, setup, seeded_entropy
 from chainforge.brute import brute_minimum
+from chainforge.ces import correctness_audit
 from chainforge.cli import main
 from chainforge.flow import (
     build_flow_network,
@@ -38,7 +25,16 @@ from chainforge.flow import (
     restore_lower_bounds,
 )
 from chainforge.formats import policy_text
-from chainforge.policy import augment_with_maximum
+from chainforge.gen import random_chain_partition, random_policy
+from chainforge.policy import (
+    augment_with_maximum,
+    bundle_labels,
+    derivation_tree,
+    issued_secrets,
+    issued_secrets_via_bottoms,
+    issued_secrets_via_tree,
+    secret_holders,
+)
 
 from conftest import enumerate_min_cost, random_policies
 from test_cli import DEMO, PART_A, PART_B, PART_C, lines_of
@@ -152,7 +148,7 @@ def test_criterion_5_identity_suite():
 
         tree = derivation_tree(policy, pi)
         bundles = {x: set(bundle_labels(policy, x, pi)) for x in p.elements}
-        for child, parent in tree.edges():
+        for child, parent in tree.parent.items():
             held = set(secret_holders(policy, parent, child))
             for x in p.elements:
                 if x == top:

@@ -1,8 +1,9 @@
 import pytest
 
-from chainforge import Policy, Poset, issued_secrets
+from chainforge import Policy, Poset
 from chainforge.brute import brute_minimum, enumerate_chain_partitions
 from chainforge.errors import TooLarge
+from chainforge.policy import issued_secrets
 
 from conftest import random_policies
 

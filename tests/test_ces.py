@@ -7,18 +7,20 @@ from chainforge import (
     Policy,
     Poset,
     SchemeParams,
-    bundle_labels,
-    correctness_audit,
     derive,
-    export_material,
     issue_bundle,
-    issued_secrets,
     optimal_partition,
     seeded_entropy,
     setup,
 )
-from chainforge.ces import bundle_from_text, bundle_to_text
+from chainforge.ces import (
+    bundle_from_text,
+    bundle_to_text,
+    correctness_audit,
+    export_material,
+)
 from chainforge.errors import EntropyFailure, NotAuthorized, ParseError, UnknownLabel
+from chainforge.policy import bundle_labels, issued_secrets
 
 from conftest import DEMO_ELEMENTS, random_policies
 
@@ -36,7 +38,6 @@ def material(demo_unit, part_c, params):
 class TestSchemeParams:
     def test_defaults(self, params):
         assert params.secret_size == 32
-        assert params.function_ids == ("sha256-01", "sha256-02")
 
     def test_valid_sizes(self):
         assert SchemeParams(128).secret_size == 16

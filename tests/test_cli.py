@@ -296,6 +296,21 @@ class TestSetupAndDerive:
         assert out == ""
         assert repr(extra.split()[0]) in err
 
+    @pytest.mark.parametrize("label", ["a/b", "a\0b"], ids=["slash", "nul"])
+    def test_setup_label_that_cannot_name_a_file_exits_2(self, capsys, tmp_path, label):
+        # checked before anything is written: no material, no earlier bundles
+        policy = tmp_path / "odd.policy"
+        policy.write_text(f"elements: lo {label}\ncovers: {label}>lo\nusers: lo=1 {label}=1\n")
+        part = tmp_path / "odd.partition"
+        part.write_text(f"{label}>lo\n")
+        outdir = tmp_path / "keys"
+        code, out, err = run(capsys, *self.setup_args(str(policy), part, outdir))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(label) in err
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("command", ["setup", "derive"])
     def test_hash_too_short_exits_2(self, capsys, demo_file, tmp_path, command):
         part = tmp_path / "c.partition"

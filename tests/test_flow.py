@@ -1,13 +1,12 @@
 import pytest
 
-from chainforge import Policy, Poset, link_cost
+from chainforge import Policy, Poset
 from chainforge import flow as flow_module
 from chainforge.errors import Infeasible, NoMaximum
 from chainforge.flow import (
     BOTTOM,
     FlowNetwork,
     build_flow_network,
-    dump_network,
     eliminate_lower_bounds,
     flow_cost,
     is_feasible,
@@ -16,7 +15,7 @@ from chainforge.flow import (
     vin,
     vout,
 )
-from chainforge.policy import augment_with_maximum
+from chainforge.policy import augment_with_maximum, link_cost
 
 from conftest import brute_max_antichain, enumerate_min_cost, random_policies
 
@@ -123,15 +122,15 @@ class TestLowerBoundElimination:
         for policy in random_policies(20, 12, seed=331):
             nets.append(build_flow_network(augment_with_maximum(policy)[0]))
         for net in nets:
-            before = dump_network(net)
+            before = dict(net.arcs), dict(net.balance)
             reduced, _ = eliminate_lower_bounds(net)
-            assert dump_network(net) == before
+            assert (dict(net.arcs), dict(net.balance)) == before
             assert list(reduced.arcs) == list(net.arcs)
             top = next(v for v, b in net.balance.items() if b > 0)
             reduced.add_arc(BOTTOM, top, 0, 1, 0)
             reduced.set_balance(BOTTOM, 0)
             reduced.set_balance(top, 0)
-            assert dump_network(net) == before
+            assert (dict(net.arcs), dict(net.balance)) == before
 
     def test_round_trip_cost_identity(self, demo_net):
         reduced, offset = eliminate_lower_bounds(demo_net)
@@ -308,18 +307,3 @@ class TestFeasibility:
         f = restore_lower_bounds(demo_net, min_cost_flow(reduced))
         f[(vout("a"), vin("b"))] = 1  # a < b, arc runs the other way
         assert not is_feasible(demo_net, f)
-
-
-class TestDump:
-    def test_dump_layout(self):
-        pol = Policy.unit(Poset(["r"]))
-        net = build_flow_network(pol)
-        text = dump_network(net)
-        assert "out(r) bottom 0 1 0" in text.splitlines()
-        assert "out(r) 1" in text.splitlines()
-        assert "bottom -1" in text.splitlines()
-
-    def test_dump_arc_lines_have_five_fields(self, demo_net):
-        lines = dump_network(demo_net).splitlines()
-        arc_lines = lines[: len(demo_net.arcs)]
-        assert all(len(ln.split()) == 5 for ln in arc_lines)

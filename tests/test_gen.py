@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from chainforge import random_policy
 from chainforge.formats import policy_text
+from chainforge.gen import random_policy
 
 
 # sha256 of policy_text(random_policy(n, density, seed)), recorded before the

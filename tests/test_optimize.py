@@ -8,12 +8,7 @@ from chainforge import (
     OptimizationResult,
     Policy,
     Poset,
-    augment_with_maximum,
-    derivation_tree,
-    issued_secrets,
-    max_bundle_size,
     optimal_partition,
-    random_policy,
     verify_result,
 )
 from chainforge.brute import brute_minimum
@@ -29,7 +24,14 @@ from chainforge.flow import (
     vout,
 )
 from chainforge.formats import partition_text
+from chainforge.gen import random_policy
 from chainforge.optimize import partition_from_flow
+from chainforge.policy import (
+    augment_with_maximum,
+    derivation_tree,
+    issued_secrets,
+    max_bundle_size,
+)
 
 from conftest import random_policies
 
@@ -200,7 +202,7 @@ def flow_oracle(policy):
     net = build_flow_network(work)
     reduced, _ = eliminate_lower_bounds(net)
     f = restore_lower_bounds(net, min_cost_flow(reduced))
-    pi = partition_from_flow(work, f, net)
+    pi = partition_from_flow(work, f)
     if added:
         chains = tuple(c[1:] if c[0] == top else c for c in pi.chains)
         pi = ChainPartition(tuple(c for c in chains if c))

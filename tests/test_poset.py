@@ -1,6 +1,6 @@
 import pytest
 
-from chainforge import Poset, build_poset, ensure_maximum, random_policy
+from chainforge import Policy, Poset
 from chainforge.errors import (
     CycleDetected,
     DuplicateLabel,
@@ -8,6 +8,8 @@ from chainforge.errors import (
     RedundantCover,
     UnknownLabel,
 )
+from chainforge.gen import random_chain_partition, random_policy
+from chainforge.policy import augment_with_maximum
 
 from conftest import DEMO_ELEMENTS, brute_max_antichain, random_policies
 
@@ -21,10 +23,6 @@ class TestConstruction:
         p = Poset(["x"])
         assert len(p) == 1
         assert p.maximum() == "x"
-
-    def test_build_poset_helper(self):
-        p = build_poset(["lo", "hi"], [("lo", "hi")])
-        assert p.leq("lo", "hi")
 
     def test_two_cycle_rejected(self):
         with pytest.raises(CycleDetected) as exc:
@@ -163,32 +161,40 @@ class TestWidth:
 
 
 class TestEnsureMaximum:
-    def test_demo_unchanged(self, demo_poset):
-        p, top = ensure_maximum(demo_poset)
-        assert p is demo_poset
-        assert top == "h"
+    """The synthetic-top rule, through augment_with_maximum."""
+
+    def test_demo_unchanged(self, demo_unit):
+        pol, top, added = augment_with_maximum(demo_unit)
+        assert pol is demo_unit
+        assert top == "h" and not added
 
     def test_antichain_gains_top(self):
-        p, top = ensure_maximum(Poset(["x", "y"]))
-        assert top == "r"
+        pol, top, added = augment_with_maximum(Policy(Poset(["x", "y"])))
+        p = pol.poset
+        assert top == "r" and added
         assert len(p) == 3
         assert set(p.covers) == {("x", "r"), ("y", "r")}
         assert p.maximum() == "r"
+        assert pol.count("r") == 0
 
     def test_singleton_unchanged(self):
-        base = Poset(["x"])
-        p, top = ensure_maximum(base)
-        assert p is base and top == "x"
+        base = Policy(Poset(["x"]))
+        pol, top, added = augment_with_maximum(base)
+        assert pol is base and top == "x" and not added
 
     def test_label_collision_suffixed(self):
-        p, top = ensure_maximum(Poset(["r", "s"]))
+        _, top, _ = augment_with_maximum(Policy(Poset(["r", "s"])))
         assert top == "r1"
 
     def test_idempotent(self):
         for policy in random_policies(30, 8, seed=37):
-            p1, top1 = ensure_maximum(policy.poset)
-            p2, top2 = ensure_maximum(p1)
-            assert p2 is p1 and top2 == top1
+            p1, top1, _ = augment_with_maximum(policy)
+            p2, top2, added = augment_with_maximum(p1)
+            assert p2 is p1 and top2 == top1 and not added
+
+    def test_empty_poset_rejected(self):
+        with pytest.raises(ValueError):
+            augment_with_maximum(Policy(Poset([])))
 
 
 class TestChainPredicates:
@@ -214,8 +220,6 @@ class TestChainPredicates:
 
     def test_accepted_partitions_have_at_least_width_blocks(self):
         import random
-
-        from chainforge import random_chain_partition
 
         rng = random.Random(5)
         for policy in random_policies(30, 8, seed=41):
