@@ -3,9 +3,9 @@ for information flow policies.
 
 The root exports the README workflow and the types it returns or raises.
 The metrics come from :mod:`chainforge.policy`, the seeded generators from
-:mod:`chainforge.gen`, the flow-network oracle from :mod:`chainforge.flow`
-(its decoder ``partition_from_flow`` from :mod:`chainforge.optimize`) and
-the brute-force oracle from :mod:`chainforge.brute`."""
+:mod:`chainforge.gen`, the flow-network oracle (network, solver and the
+decoder ``partition_from_flow``) from :mod:`chainforge.flow` and the
+brute-force oracle from :mod:`chainforge.brute`."""
 
 from .ces import (
     KeyMaterial,

@@ -8,15 +8,20 @@ under x, and a sink node collects one unit per chain bottom. A minimum
 cost flow of value w (the poset width, kept as the balance at out(r))
 then encodes the cheapest chain partition into w chains.
 
-The solver is exact and integral: successive shortest augmenting paths
+The solver is exact and integral. It is cut to the networks this module
+builds: every arc cost is nonnegative, so it needs no initial potentials,
+and every residual edge leaving an out-node has capacity at most 1, so
+each augmenting path has bottleneck 1 and it pushes one unit per path
+without changing a path. It runs successive shortest augmenting paths
 with node potentials, deterministic tie-breaking by node order, the
 solver's own sink numbered first. Each Dijkstra search stops once the sink is settled; nodes it
 did not settle have distance at least the sink's, so the path and the
 potentials are the ones a full search would give.
 
 ``chainforge.optimize`` solves this network on the poset's bitmasks
-without building it; the network, its solver and its decoder are the
-oracle that solver is tested against.
+without building it. The network, the lower-bound transform, the solver
+and the decoder :func:`partition_from_flow` are the oracle that solver is
+tested against.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import Infeasible, NoMaximum
-from .policy import Policy
+from .errors import Infeasible, MalformedFlow, NoMaximum, NotAFeasibleFlow
+from .policy import ChainPartition, Policy, _chains_from_parents
 
 Node = tuple[str, str]
 ArcKey = tuple[Node, Node]
@@ -165,8 +170,11 @@ def min_cost_flow(net: FlowNetwork) -> Flow:
     """Exact integral minimum-cost feasible flow.
 
     All lower bounds must be zero (run :func:`eliminate_lower_bounds`
-    first). Node imbalances are routed from excess to deficit nodes along
-    successive shortest augmenting paths; Dijkstra with node potentials
+    first) and all costs nonnegative, as in every network
+    :func:`build_flow_network` makes: an arc out(x) -> in(y) costs
+    W(up y) - W(up x) >= 0, as up(x) is a subset of up(y). Node imbalances
+    are routed from excess to deficit nodes along successive shortest
+    augmenting paths, one unit per path; Dijkstra with node potentials
     keeps reduced costs nonnegative, and ties are broken by node order so
     the chosen optimum is reproducible.
 
@@ -184,6 +192,8 @@ def min_cost_flow(net: FlowNetwork) -> Flow:
     """
     if any(a.lower != 0 for a in net.arcs.values()):
         raise ValueError("eliminate lower bounds before solving")
+    if any(a.cost < 0 for a in net.arcs.values()):
+        raise ValueError("arc costs must be nonnegative")
 
     n = len(net.nodes)
     # the sink is numbered below every other node, so it is popped first
@@ -215,15 +225,10 @@ def min_cost_flow(net: FlowNetwork) -> Flow:
         elif b < 0:
             add_edge(idx[v], sink, -b, 0)
 
-    if any(c < 0 for c in cost[::2]):
-        potential = _bellman_ford(source, n + 2, adj, to, cap, cost)
-    else:
-        potential = [0] * (n + 2)
-
+    potential = [0] * (n + 2)
     INF = float("inf")
     heappop, heappush = heapq.heappop, heapq.heappush
-    routed = 0
-    while routed < need:
+    for _ in range(need):
         dist: list[float] = [INF] * (n + 2)
         prev_edge: list[int] = [-1] * (n + 2)
         dist[source] = 0
@@ -248,41 +253,15 @@ def min_cost_flow(net: FlowNetwork) -> Flow:
             raise Infeasible("no feasible flow: balances cannot be routed")
         # nodes not settled before the sink, reached or not, move by dsink
         potential = [p + (dv if dv < dsink else dsink) for p, dv in zip(potential, dist)]
-        # bottleneck along the path, then augment
-        push = need - routed
+        # push one unit along the path
         v = sink
         while v != source:
             k = prev_edge[v]
-            push = min(push, cap[k])
+            cap[k] -= 1
+            cap[k ^ 1] += 1
             v = to[k ^ 1]
-        v = sink
-        while v != source:
-            k = prev_edge[v]
-            cap[k] -= push
-            cap[k ^ 1] += push
-            v = to[k ^ 1]
-        routed += push
 
     return {arc: net.arcs[arc].upper - cap[k] for arc, k in arc_edge.items()}
-
-
-def _bellman_ford(
-    src: int, size: int, adj: list[list[int]], to: list[int], cap: list[int], cost: list[int]
-) -> list[float]:
-    dist: list[float] = [float("inf")] * size
-    dist[src] = 0
-    for _ in range(size - 1):
-        changed = False
-        for u in range(size):
-            if dist[u] == float("inf"):
-                continue
-            for k in adj[u]:
-                if cap[k] > 0 and dist[u] + cost[k] < dist[to[k]]:
-                    dist[to[k]] = dist[u] + cost[k]
-                    changed = True
-        if not changed:
-            break
-    return [d if d != float("inf") else 0 for d in dist]
 
 
 def flow_cost(net: FlowNetwork, flow: Flow) -> int:
@@ -308,3 +287,35 @@ def is_feasible(net: FlowNetwork, flow: Flow) -> bool:
         if arc not in net.arcs and f != 0:
             return False
     return all(net_out[v] - net_in[v] == net.balance[v] for v in net.nodes)
+
+
+def partition_from_flow(policy: Policy, flow: Flow) -> ChainPartition:
+    """Decode a feasible flow on the policy's network into the chain
+    partition it encodes.
+
+    Unit flow on out(x) -> in(y) makes x the chain-parent of y; the chains
+    are read off those links as :func:`_chains_from_parents` describes.
+    w is read from the network's balance at out(r).
+    """
+    p = policy.poset
+    r = p.maximum()
+    if r is None:
+        raise NoMaximum("flow decoding requires a unique maximum element")
+    net = build_flow_network(policy)
+    w = net.balance[vout(r)]
+
+    parent: dict[str, str] = {}
+    for u, v in net.arcs:
+        if u[0] == "out" and v[0] == "in" and flow.get((u, v), 0) == 1:
+            child, par = v[1], u[1]
+            if child in parent:
+                raise MalformedFlow(f"{child!r} has two chain parents")
+            parent[child] = par
+    missing = [x for x in p.elements if x != r and x not in parent]
+    if missing:
+        raise MalformedFlow(f"{missing[0]!r} has no chain parent")
+
+    pi = _chains_from_parents(p, r, w, parent)
+    if not is_feasible(net, flow):
+        raise NotAFeasibleFlow("flow violates capacity or balance constraints")
+    return pi

@@ -8,9 +8,9 @@ metrics.
 
 The result minimizes the total number of issued secrets over all chain
 partitions while no user class ever holds more than w secrets. The flow
-network of :mod:`chainforge.flow`, solved by :func:`min_cost_flow` and
-decoded by :func:`partition_from_flow`, stays as the oracle that the
-bitmask solver is tested against.
+network of :mod:`chainforge.flow`, with its solver and its decoder
+``partition_from_flow``, stays there as the oracle that the bitmask solver
+is tested against; this module holds only the production path.
 """
 
 from __future__ import annotations
@@ -21,23 +21,22 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 
-from .errors import InternalError, MalformedFlow, NoMaximum, NotAFeasibleFlow
+from .errors import InternalError
 
-# eliminate_lower_bounds, min_cost_flow and restore_lower_bounds are not
-# called here; they stay imported because bench/spans.py wraps the flow
-# oracle's stages under these names in this module.
+# not called here: bench/spans.py wraps the flow oracle's stages under
+# these names in this module
 from .flow import (
-    Flow,
     build_flow_network,
     eliminate_lower_bounds,
     is_feasible,
     min_cost_flow,
+    partition_from_flow,
     restore_lower_bounds,
-    vout,
 )
 from .policy import (
     ChainPartition,
     Policy,
+    _chains_from_parents,
     augment_with_maximum,
     issued_secrets,
     issued_secrets_via_bottoms,
@@ -45,7 +44,6 @@ from .policy import (
     attach_to_maximum,
     max_bundle_size,
 )
-from .poset import Poset
 
 
 @dataclass(frozen=True)
@@ -55,81 +53,6 @@ class OptimizationResult:
     width: int
     flow_cost: int
     kmax: int
-
-
-def partition_from_flow(policy: Policy, flow: Flow) -> ChainPartition:
-    """Decode a feasible flow on the policy's network into the chain
-    partition it encodes.
-
-    Unit flow on out(x) -> in(y) makes x the chain-parent of y; the chains
-    are read off those links as :func:`_chains_from_parents` describes.
-    w is read from the network's balance at out(r).
-    """
-    p = policy.poset
-    r = p.maximum()
-    if r is None:
-        raise NoMaximum("flow decoding requires a unique maximum element")
-    net = build_flow_network(policy)
-    w = net.balance[vout(r)]
-
-    parent: dict[str, str] = {}
-    for (u, v), a in net.arcs.items():
-        if u[0] == "out" and v[0] == "in" and flow.get((u, v), 0) == 1:
-            child, par = v[1], u[1]
-            if child in parent:
-                raise MalformedFlow(f"{child!r} has two chain parents")
-            parent[child] = par
-    missing = [x for x in p.elements if x != r and x not in parent]
-    if missing:
-        raise MalformedFlow(f"{missing[0]!r} has no chain parent")
-
-    pi = _chains_from_parents(p, r, w, parent)
-    if not is_feasible(net, flow):
-        raise NotAFeasibleFlow("flow violates capacity or balance constraints")
-    return pi
-
-
-def _chains_from_parents(p: Poset, r: str, w: int, parent: dict[str, str]) -> ChainPartition:
-    """The w chains that the chain-parent links (child -> parent, one link
-    for every label but the maximum r) form.
-
-    r has w or w - 1 children. The one with the largest declaration index
-    continues r's own chain (the choice never affects any metric), the rest
-    start their own chains; with w - 1 children r is a chain by itself.
-    """
-    child_of: dict[str, str] = {}
-    roots_children: list[str] = []
-    for y, x in parent.items():
-        if x == r:
-            roots_children.append(y)
-        else:
-            if x in child_of:
-                raise MalformedFlow(f"{x!r} has two chain children")
-            child_of[x] = y
-    if len(roots_children) not in (w, w - 1):
-        raise MalformedFlow(
-            f"maximum has {len(roots_children)} chain children, expected {w} or {w - 1}"
-        )
-
-    def walk(top: str) -> tuple[str, ...]:
-        chain = [top]
-        while chain[-1] in child_of:
-            chain.append(child_of[chain[-1]])
-        return tuple(chain)
-
-    tops = sorted(roots_children, key=p.index.__getitem__)
-    if len(tops) == w:
-        extend = tops[-1]  # largest declaration index continues r's chain
-        chains = [(r,) + walk(extend)]
-        chains += [walk(t) for t in tops if t != extend]
-    else:
-        # r's bottom arc carries the unit: r is a chain by itself
-        chains = [(r,)]
-        chains += [walk(t) for t in tops]
-
-    if sum(len(c) for c in chains) != len(p):
-        raise MalformedFlow("decoded chains do not cover the poset")
-    return ChainPartition(tuple(chains))
 
 
 def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
@@ -275,7 +198,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 if below[x]:
                     du = d + base[u]
                     a = du - weight[x]
-                    cand = below[x] & ~kids[x] & within[bisect_left(keys, (bound - a + 1) * size)]
+                    # an infinite bound takes every in-node; bound - a
+                    # would overflow a float on huge user counts
+                    k = -1 if bound == INF else bisect_left(keys, (bound - a + 1) * size)
+                    cand = below[x] & ~kids[x] & within[k]
                     better = cand & unreached
                     old = cand & pending
                     while old:

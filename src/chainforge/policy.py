@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import InvalidPartition, NoMaximum, NotComparable, UnknownLabel
+from .errors import InvalidPartition, MalformedFlow, NoMaximum, NotComparable, UnknownLabel
 from .poset import Poset
 
 
@@ -191,6 +191,49 @@ def derivation_tree(policy: Policy, pi: ChainPartition) -> DerivationTree:
         if top != root:
             parent[top] = root
     return DerivationTree(root=root, parent=parent)
+
+
+def _chains_from_parents(p: Poset, r: str, w: int, parent: dict[str, str]) -> ChainPartition:
+    """The w chains that the chain-parent links (child -> parent, one link
+    for every label but the maximum r) form.
+
+    r has w or w - 1 children. The one with the largest declaration index
+    continues r's own chain (the choice never affects any metric), the rest
+    start their own chains; with w - 1 children r is a chain by itself.
+    """
+    child_of: dict[str, str] = {}
+    roots_children: list[str] = []
+    for y, x in parent.items():
+        if x == r:
+            roots_children.append(y)
+        else:
+            if x in child_of:
+                raise MalformedFlow(f"{x!r} has two chain children")
+            child_of[x] = y
+    if len(roots_children) not in (w, w - 1):
+        raise MalformedFlow(
+            f"maximum has {len(roots_children)} chain children, expected {w} or {w - 1}"
+        )
+
+    def walk(top: str) -> tuple[str, ...]:
+        chain = [top]
+        while chain[-1] in child_of:
+            chain.append(child_of[chain[-1]])
+        return tuple(chain)
+
+    tops = sorted(roots_children, key=p.index.__getitem__)
+    if len(tops) == w:
+        extend = tops[-1]  # largest declaration index continues r's chain
+        chains = [(r,) + walk(extend)]
+        chains += [walk(t) for t in tops if t != extend]
+    else:
+        # r's bottom arc carries the unit: r is a chain by itself
+        chains = [(r,)]
+        chains += [walk(t) for t in tops]
+
+    if sum(len(c) for c in chains) != len(p):
+        raise MalformedFlow("decoded chains do not cover the poset")
+    return ChainPartition(tuple(chains))
 
 
 def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:

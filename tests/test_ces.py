@@ -13,6 +13,7 @@ from chainforge import (
     seeded_entropy,
     setup,
 )
+from chainforge import ces
 from chainforge.ces import (
     bundle_from_text,
     bundle_to_text,
@@ -151,6 +152,13 @@ class TestDerive:
         with pytest.raises(NotAuthorized):
             derive(demo_unit, part_c, bundle, "e", params)
 
+    def test_bundle_without_a_covering_secret(self, demo_unit, part_c, material, params):
+        bundle = issue_bundle(material, demo_unit, "h")
+        partial = dataclasses.replace(bundle, secrets={"g": bundle.secrets["g"]})
+        with pytest.raises(NotAuthorized, match="bundle for 'h' holds no secret covering 'b'"):
+            derive(demo_unit, part_c, partial, "b", params)
+        assert derive(demo_unit, part_c, partial, "a", params) == material.keys["a"]
+
     def test_wrong_size_secret_rejected(self, demo_unit, part_c, material, params):
         bundle = issue_bundle(material, demo_unit, "h")
         text = bundle_to_text(bundle).replace(bundle.secrets["g"].hex(), "ab")
@@ -199,6 +207,34 @@ class TestAudit:
         secrets["e"] = bytes(32)  # not a chain top; breaks the recurrence
         broken = dataclasses.replace(material, secrets=secrets)
         assert not correctness_audit(demo_unit, part_c, broken)
+
+    def test_missing_secret_detected(self, demo_unit, part_c, material):
+        secrets = {z: s for z, s in material.secrets.items() if z != "h"}
+        broken = dataclasses.replace(material, secrets=secrets)
+        with pytest.raises(KeyError):
+            issue_bundle(broken, demo_unit, "h")
+        assert not correctness_audit(demo_unit, part_c, broken)
+
+    def test_short_secrets_detected(self, demo_unit, part_c, material):
+        secrets = {z: s[:16] for z, s in material.secrets.items()}
+        broken = dataclasses.replace(material, secrets=secrets)
+        with pytest.raises(ParseError):
+            derive(demo_unit, part_c, issue_bundle(broken, demo_unit, "h"), "a")
+        assert not correctness_audit(demo_unit, part_c, broken)
+
+    @pytest.mark.parametrize("refusal", ["raises ValueError", "returns a key"])
+    def test_wrong_refusal_detected(self, demo_unit, part_c, material, monkeypatch, refusal):
+        real = ces.derive
+
+        def derive_refusing_wrongly(policy, pi, bundle, y, params):
+            if policy.poset.leq(y, bundle.label):
+                return real(policy, pi, bundle, y, params)
+            if refusal == "raises ValueError":
+                raise ValueError("refused")
+            return material.keys[y]
+
+        monkeypatch.setattr(ces, "derive", derive_refusing_wrongly)
+        assert not correctness_audit(demo_unit, part_c, material)
 
 
 class TestNoShortcutStructure:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from chainforge import optimize
 from chainforge.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -120,6 +121,21 @@ class TestPartition:
         got = lines_of(out)
         assert got["chains"] == "1"
         assert got["khat"] == "4"  # every user holds exactly one secret
+
+    def test_400_digit_counts(self, capsys, tmp_path):
+        n = 10**399
+        path = tmp_path / "huge.policy"
+        path.write_text(f"elements: lo mid hi\ncovers: mid>lo hi>mid\nusers: lo={n} mid={n} hi={n}")
+        code, out, _ = run(capsys, "partition", str(path))
+        assert code == 0
+        assert lines_of(out)["khat"] == str(3 * n)
+
+    def test_failed_self_verification_exits_1(self, capsys, demo_file, monkeypatch):
+        monkeypatch.setattr(optimize, "verify_result", lambda policy, result: False)
+        code, out, err = run(capsys, "partition", demo_file)
+        assert code == 1
+        assert out == ""
+        assert err == "internal error: optimization result failed self-verification\n"
 
     def test_policy_without_maximum(self, capsys, tmp_path):
         # the synthetic top used internally must not leak into the output

@@ -1,7 +1,6 @@
 import pytest
 
 from chainforge import Policy, Poset
-from chainforge import flow as flow_module
 from chainforge.errors import Infeasible, NoMaximum
 from chainforge.flow import (
     BOTTOM,
@@ -150,6 +149,10 @@ class TestSolver:
         with pytest.raises(ValueError):
             min_cost_flow(demo_net)
 
+    def test_rejects_negative_cost_arc(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_cost_flow(_negative_arc_network())
+
     def test_zero_balance_zero_cost_network(self):
         a, b = ("out", "a"), ("out", "b")
         net = FlowNetwork([a, b])
@@ -247,18 +250,19 @@ class TestOptimalityCertificate:
             assert is_feasible(net, f)
             assert not _has_negative_cycle(net, f)
 
-    def test_negative_cost_arc(self, monkeypatch):
-        calls = []
-        real = flow_module._bellman_ford
-        monkeypatch.setattr(
-            flow_module, "_bellman_ford", lambda *a: calls.append(1) or real(*a)
-        )
-        net = _negative_arc_network()
+    def test_capacity_two_arcs_carry_two_units(self):
+        # the same network with every cost made nonnegative
+        negative = _negative_arc_network()
+        net = FlowNetwork(negative.nodes)
+        for (u, v), a in negative.arcs.items():
+            net.add_arc(u, v, 0, a.upper, abs(a.cost))
+        net.balance = dict(negative.balance)
         f = min_cost_flow(net)
-        assert calls == [1]
         assert is_feasible(net, f)
         assert not _has_negative_cycle(net, f)
-        assert flow_cost(net, f) == enumerate_min_cost(net) == 11
+        assert flow_cost(net, f) == enumerate_min_cost(net) == 18
+        s, a, b, c, t = (("out", x) for x in "sabct")
+        assert f[(s, a)] == f[(a, c)] == f[(c, t)] == 2
 
     def test_certificate_detects_a_suboptimal_flow(self):
         net = _negative_arc_network()

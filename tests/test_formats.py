@@ -74,6 +74,27 @@ class TestPolicyParsing:
         with pytest.raises(ParseError):
             parse_policy("elements: x\nusers: x=-2\n")
 
+    def test_empty_elements_section(self):
+        # the section's tokens carry line numbers, an empty one has none
+        with pytest.raises(ParseError, match="'elements:' section is empty") as exc:
+            parse_policy("# nothing declared\nelements:\ncovers:\n")
+        assert exc.value.line is None
+
+    def test_cover_without_child(self):
+        with pytest.raises(ParseError, match="'a>' must be parent>child") as exc:
+            parse_policy("elements: a b\ncovers: b>a\n  a>\n")
+        assert exc.value.line == 3
+
+    def test_count_token_with_two_equals(self):
+        with pytest.raises(ParseError, match="'a=1=2' must be label=count") as exc:
+            parse_policy("elements: a\n\nusers: a=1=2\n")
+        assert exc.value.line == 3
+
+    def test_duplicate_user_count(self):
+        with pytest.raises(ParseError, match="duplicate user count for 'a'") as exc:
+            parse_policy("elements: a b\nusers: a=1 b=2\n  a=1\n")
+        assert exc.value.line == 3
+
     def test_duplicate_section(self):
         with pytest.raises(ParseError):
             parse_policy("elements: x\nelements: y\n")
@@ -105,6 +126,11 @@ class TestPartitionParsing:
     def test_invalid_partition_rejected(self, demo_poset):
         with pytest.raises(InvalidPartition):
             parse_partition("g>e>c>a\n", demo_poset)
+
+    def test_empty_chain_line(self, demo_poset):
+        with pytest.raises(ParseError, match="empty chain") as exc:
+            parse_partition("g>e>c>a\n>\nh>f>d>b\n", demo_poset)
+        assert exc.value.line == 2
 
     def test_empty_file_rejected(self, demo_poset):
         with pytest.raises(ParseError):
