@@ -274,6 +274,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # counts and totals may have any number of digits (Python 3.10.7+
+    # otherwise refuses int <-> str conversions past 4 300 digits)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ParseError as e:
@@ -294,6 +299,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def entry() -> None:

@@ -110,9 +110,9 @@ class Poset:
             # walk backwards through unresolved nodes until one repeats
             left = {i for i in range(n) if indeg[i] > 0}
             node = next(iter(left))
-            trail = []
+            trail = set()
             while node not in trail:
-                trail.append(node)
+                trail.add(node)
                 node = next(c for c in children[node] if c in left)
             raise CycleDetected(self.elements[node])
         up = [0] * n
@@ -223,37 +223,25 @@ class Poset:
         # each unmatched right vertex is the bottom of one chain in the cover
         return free.bit_count()
 
-    def is_chain(self, labels: Iterable[str]) -> bool:
-        """True iff every two labels in the collection are comparable."""
-        idx = [self._i(x) for x in labels]
-        return all(
-            self._down[a] >> b & 1 or self._down[b] >> a & 1
-            for k, a in enumerate(idx)
-            for b in idx[k + 1 :]
-        )
-
     def is_chain_partition(self, blocks: Iterable[Iterable[str]]) -> bool:
         """True iff the blocks are disjoint chains that cover all elements.
 
-        Unknown labels are an error, not a False.
+        Each block is walked top-first, and every label must lie strictly
+        below the one before it. An unknown label in any block is an error,
+        not a False.
         """
-        blocks = [tuple(b) for b in blocks]
-        for block in blocks:
-            for lab in block:
-                self._i(lab)
-        union = 0
-        total = 0
-        for block in blocks:
-            if not self.is_chain(block):
-                return False
-            mask = 0
-            for lab in block:
-                mask |= 1 << self._i(lab)
-            if mask & union:
-                return False
-            union |= mask
-            total += len(block)
-        return total == len(self.elements) and union == (1 << len(self.elements)) - 1
+        chains = [self.descending(b) for b in blocks]
+        seen = 0
+        for chain in chains:
+            below = -1  # every bit: any label may top a chain
+            for lab in chain:
+                i = self.index[lab]
+                bit = 1 << i
+                if not below & bit or seen & bit:
+                    return False
+                seen |= bit
+                below = self._down[i] ^ bit
+        return seen == (1 << len(self.elements)) - 1
 
     def descending(self, labels: Iterable[str]) -> tuple[str, ...]:
         """Sort the labels of a chain from top to bottom."""

@@ -1,12 +1,16 @@
+import dataclasses
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from chainforge import optimize
+from chainforge import cli, optimize
 from chainforge.cli import main
+from chainforge.formats import parse_partition, parse_policy
+from chainforge.policy import issued_secrets
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -210,6 +214,15 @@ class TestEvaluate:
         assert got["khat_tree"] == "5"
         assert got["khat_bottoms"] == "5"
 
+    def test_disagreeing_formulas_exit_1(self, capsys, demo_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "issued_secrets_via_bottoms", lambda policy, pi: -1)
+        part = tmp_path / "c.partition"
+        part.write_text(PART_C)
+        code, out, err = run(capsys, "evaluate", demo_file, str(part))
+        assert code == 1
+        assert out == ""
+        assert err == "internal error: issued-secret formulas disagree: 13, tree 13, bottoms -1\n"
+
 
 class TestSetupAndDerive:
     def setup_args(self, demo_file, part, outdir, *extra):
@@ -312,6 +325,20 @@ class TestSetupAndDerive:
         assert out == ""
         assert repr(extra.split()[0]) in err
 
+    def test_derive_non_hex_secret_exits_2(self, capsys, demo_file, tmp_path):
+        part = tmp_path / "c.partition"
+        part.write_text(PART_C)
+        outdir = tmp_path / "keys"
+        run(capsys, *self.setup_args(demo_file, part, outdir))
+        bundle = outdir / "bundle-h.txt"
+        lines = bundle.read_text().splitlines()
+        lines[1] = lines[1].rsplit(" ", 1)[0] + " zz"
+        bundle.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "derive", demo_file, str(part), str(bundle), "a")
+        assert code == 2
+        assert out == ""
+        assert "bad hex in bundle line" in err
+
     @pytest.mark.parametrize("label", ["a/b", "a\0b"], ids=["slash", "nul"])
     def test_setup_label_that_cannot_name_a_file_exits_2(self, capsys, tmp_path, label):
         # checked before anything is written: no material, no earlier bundles
@@ -387,6 +414,19 @@ class TestSetupAndDerive:
         assert code == 2
         assert "--allow-deterministic" in err
 
+    def test_non_hex_seed_exits_2(self, capsys, demo_file, tmp_path, monkeypatch):
+        monkeypatch.delenv("CHAINFORGE_CI", raising=False)
+        part = tmp_path / "c.partition"
+        part.write_text(PART_C)
+        code, out, err = run(
+            capsys, "setup", demo_file, str(part), "--seed", "zz", "--allow-deterministic",
+            "--export", str(tmp_path / "keys"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed must be a hex string\n"
+        assert not (tmp_path / "keys").exists()
+
     def test_ci_mode_requires_seed(self, capsys, demo_file, tmp_path, monkeypatch):
         monkeypatch.setenv("CHAINFORGE_CI", "1")
         part = tmp_path / "c.partition"
@@ -443,6 +483,67 @@ class TestOracle:
         path.write_text("elements: " + " ".join(f"x{i}" for i in range(10)) + "\n")
         code, _, err = run(capsys, "oracle", str(path))
         assert code == 4
+
+    def test_disagreeing_optimizer_fails(self, capsys, demo_file, monkeypatch):
+        real = optimize.optimal_partition
+        monkeypatch.setattr(
+            optimize,
+            "optimal_partition",
+            lambda policy: dataclasses.replace(real(policy), khat=real(policy).khat + 1),
+        )
+        code, out, _ = run(capsys, "oracle", demo_file)
+        assert code == 1
+        got = lines_of(out)
+        assert got["optimizer_khat"] == "14"
+        assert got["verdict"] == "FAIL"
+
+
+class TestTotalsOfAnyLength:
+    # two 4 300-digit counts sum to 4 301 digits, one past the default
+    # limit of Python's int -> str conversion
+    COUNT = "9" * 4300
+    KHAT = "1" + "9" * 4299 + "8"
+    POLICY = f"elements: lo hi\ncovers: hi>lo\nusers: lo={COUNT} hi={COUNT}\n"
+
+    @pytest.fixture
+    def huge_file(self, tmp_path):
+        path = tmp_path / "huge.policy"
+        path.write_text(self.POLICY)
+        return str(path)
+
+    def test_partition(self, capsys, huge_file):
+        code, out, err = run(capsys, "partition", huge_file)
+        assert (code, err) == (0, "")
+        khat = lines_of(out)["khat"]
+        assert khat == self.KHAT
+        policy = parse_policy(self.POLICY)
+        pi = parse_partition("hi>lo\n", policy.poset)
+        assert int(Decimal(khat)) == issued_secrets(policy, pi)
+
+    def test_evaluate(self, capsys, huge_file, tmp_path):
+        part = tmp_path / "huge.partition"
+        part.write_text("hi>lo\n")
+        code, out, err = run(capsys, "evaluate", huge_file, str(part))
+        assert (code, err) == (0, "")
+        got = lines_of(out)
+        assert got["khat"] == got["khat_tree"] == got["khat_bottoms"] == self.KHAT
+
+    def test_oracle(self, capsys, huge_file):
+        code, out, err = run(capsys, "oracle", huge_file)
+        assert (code, err) == (0, "")
+        got = lines_of(out)
+        assert got["min_khat"] == got["optimizer_khat"] == self.KHAT
+        assert got["verdict"] == "PASS"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int -> str digit limit"
+    )
+    def test_digit_limit_restored(self, capsys, huge_file, tmp_path):
+        before = sys.get_int_max_str_digits()
+        run(capsys, "partition", huge_file)
+        assert sys.get_int_max_str_digits() == before
+        run(capsys, "partition", str(tmp_path / "missing.policy"))
+        assert sys.get_int_max_str_digits() == before
 
 
 class TestGen:

@@ -53,6 +53,10 @@ class TestPolicy:
         with pytest.raises(ValueError):
             Policy(demo_poset, {"a": count})
 
+    def test_count_of_unknown_label(self, demo_unit):
+        with pytest.raises(UnknownLabel):
+            demo_unit.count("zz")
+
 
 class TestChainPartition:
     def test_from_blocks_orders_top_first(self, demo_poset):
@@ -68,6 +72,10 @@ class TestChainPartition:
     def test_from_blocks_rejects_missing_elements(self, demo_poset):
         with pytest.raises(InvalidPartition):
             ChainPartition.from_blocks(demo_poset, [["a", "b"]])
+
+    def test_from_blocks_rejects_empty_block(self, demo_poset):
+        with pytest.raises(InvalidPartition, match="^empty chain$"):
+            ChainPartition.from_blocks(demo_poset, [list("aceg"), [], list("bdfh")])
 
 
 class TestSecretHolders:
@@ -162,6 +170,10 @@ class TestAggregates:
     def test_issued_weighted(self, demo_poset, part_c):
         pol = Policy(demo_poset, {"h": 5})
         assert issued_secrets(pol, part_c) == 10  # 5 users, 2 secrets each
+
+    def test_empty_chain_rejected(self, demo_unit, part_c):
+        with pytest.raises(InvalidPartition, match="^empty chain$"):
+            issued_secrets(demo_unit, ChainPartition(part_c.chains + ((),)))
 
 
 class TestDerivationTree:

@@ -33,6 +33,14 @@ class TestConstruction:
         with pytest.raises(CycleDetected):
             Poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
+    def test_long_cycle_reported_at_its_first_label(self):
+        n = 30_000
+        labels = [f"c{i}" for i in range(n)]
+        covers = [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+        with pytest.raises(CycleDetected) as exc:
+            Poset(labels, covers)
+        assert exc.value.label == "c0"
+
     def test_self_cover_rejected(self):
         with pytest.raises(CycleDetected):
             Poset(["a"], [("a", "a")])
@@ -217,6 +225,18 @@ class TestChainPredicates:
     def test_unknown_label_raises(self, demo_poset):
         with pytest.raises(UnknownLabel):
             demo_poset.is_chain_partition([list(DEMO_ELEMENTS[:-1]), ["z"]])
+
+    def test_repeated_label_rejected(self, demo_poset):
+        assert not demo_poset.is_chain_partition([["a", "c", "e", "g", "h", "c"], ["b", "d", "f"]])
+
+    def test_shuffled_total_order_is_one_chain(self):
+        import random
+
+        labels = [f"x{i}" for i in range(2000)]
+        p = Poset(labels, list(zip(labels, labels[1:])))
+        block = labels[:]
+        random.Random(3).shuffle(block)
+        assert p.is_chain_partition([block])
 
     def test_accepted_partitions_have_at_least_width_blocks(self):
         import random
