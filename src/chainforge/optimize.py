@@ -80,9 +80,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     moves by the sink's distance, which is the new shift; only the nodes
     settled closer correct their base. The state that depends on the
     potentials persists across searches and is repaired for those nodes
-    only: the free out-nodes' source offers, kept as one sorted key list
-    (a sorted list is a heap, so a search starts from a slice of it), and
-    the in-nodes sorted by b(y) = W(y) - base(in y), with prefix masks.
+    only: the free out-nodes' source offers, kept as one sorted key list,
+    and the in-nodes sorted by b(y) = W(y) - base(in y), with prefix masks.
 
     An out-node x settled at distance d offers each in-node y below it
     a + b(y), with a = d + base(out x) - W(x), so its offers are one mask
@@ -91,10 +90,20 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     on the sink's distance are dropped: such a node is never settled
     before the sink, and its potential moves by the sink's distance
     either way. The in-nodes sorted by b(y) turn the bound into one more
-    mask. A minimal label's out-node relaxes nothing but the bottom node.
-    While free its potential stays 0, so only the lowest free one can be
-    the first to reach the bottom node; once routed to the bottom node it
-    is a dead end whose potential is never read.
+    mask. Each out-node also keeps a floor, a lower bound on b(y) over the
+    in-nodes it may still offer to. It stays valid because a settled
+    in-node's b(y) only grows; it comes down when a unit is given back and
+    goes up when a search finds no offer under a finite bound. An
+    out-node whose a + floor lies above the bound offers nothing and skips
+    the mask work. An offer exactly on the bound is still made: until the
+    sink is pushed, an in-node on the bound may pop first and become the
+    sink's predecessor. The source offers are not copied into the heap but
+    read from their sorted list as a second stream, merged with the heap
+    in the same (distance, id) order. A minimal label's out-node relaxes
+    nothing but the bottom node. While free its potential stays 0, so
+    only the lowest free one can be the first to reach the bottom node;
+    once routed to the bottom node it is a dead end whose potential is
+    never read.
     """
     p = work.poset
     n = len(p)
@@ -140,6 +149,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     dist: list[float] = [INF] * size
     for v in offers:
         dist[v] = 0
+    offers.append(INF)  # an end mark: a search reads the offers up to it
     prev = [SRC] * size
     # the in-nodes as sorted keys (b(y), node id), their bits and the
     # prefix masks: within[k] holds the first k of them
@@ -148,23 +158,34 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     bits = [in_bit[k % size] for k in keys]
     within = list(accumulate(bits, or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
+    # floor[x] <= b(y) for every in-node y in below[x] & ~kids[x]. At first
+    # b(y) = W(y), least on a label that x covers, as W only grows downwards
+    floor: list[float] = [INF] * n
+    for lo, hi in p.covers:
+        x = p.index[hi]
+        floor[x] = min(floor[x], weight[p.index[lo]])
 
     for _ in range(n - 1 + w):
         # a bound on the sink's shifted distance, which is its true one as
         # its base is 0: the path source -> out(x) -> bottom -> sink costs 0
         bound = 0 if bottom_left and free & ~to_bottom else INF
-        heap = offers[: bisect_left(offers, (bound + 1) * size)]
+        heap = [INF]  # an end mark, like the offers'
         first = free & leaves
         if first:  # the lowest free minimal label's out-node, at potential 0
             heappush(heap, shift * size + OUT - 1 + (first & -first).bit_length())
         unreached, pending = all_in, 0
         settled = []  # heap keys of the nodes settled before the sink, in order
         touched = []  # out-nodes whose distance or predecessor changed
+        i = 0  # the next source offer
 
         while True:
-            if not heap:
+            key = offers[i]
+            if heap[0] < key:
+                key = heappop(heap)
+            elif key == INF:
                 raise InternalError("the flow network's sink is unreachable")
-            key = heappop(heap)
+            else:
+                i += 1
             d, u = divmod(key, size)
             if u == SINK:
                 break
@@ -198,37 +219,44 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 if below[x]:
                     du = d + base[u]
                     a = du - weight[x]
-                    # an infinite bound takes every in-node; bound - a
-                    # would overflow a float on huge user counts
-                    k = -1 if bound == INF else bisect_left(keys, (bound - a + 1) * size)
-                    cand = below[x] & ~kids[x] & within[k]
-                    better = cand & unreached
-                    old = cand & pending
-                    while old:
-                        low = old & -old
-                        old ^= low
-                        if a < best[low.bit_length() - 1]:
-                            better |= low
-                    unreached &= ~better
-                    pending |= better
-                    while better:
-                        low = better & -better
-                        better ^= low
-                        v = low.bit_length()
-                        nd = a + offset[v]
-                        prev[v] = u
-                        best[v - 1] = a
-                        heappush(heap, nd * size + v)
-                        if not matched & low and nd + base[v] < bound:
-                            bound = nd + base[v]
+                    if a + floor[x] > bound:  # every offer lies above the bound
+                        cand = 0
+                    elif bound == INF:
+                        # every in-node: bound - a would overflow a float
+                        # on huge user counts
+                        cand = below[x] & ~kids[x]
+                    else:
+                        k = bisect_left(keys, (bound - a + 1) * size)
+                        cand = below[x] & ~kids[x] & within[k]
+                        if not cand:
+                            floor[x] = bound - a + 1
+                    if cand:
+                        better = cand & unreached
+                        old = cand & pending
+                        while old:
+                            low = old & -old
+                            old ^= low
+                            if a < best[low.bit_length() - 1]:
+                                better |= low
+                        unreached &= ~better
+                        pending |= better
+                        while better:
+                            low = better & -better
+                            better ^= low
+                            v = low.bit_length()
+                            nd = a + offset[v]
+                            prev[v] = u
+                            best[v - 1] = a
+                            heappush(heap, nd * size + v)
+                            if not matched & low and nd + base[v] < bound:
+                                bound = nd + base[v]
                 else:  # the lowest free minimal label's out-node, at potential 0
                     du = d - shift
-                if not to_bottom >> x & 1:
-                    nd = du - base[BOT]
-                    if nd < dist[BOT]:
-                        dist[BOT] = nd
-                        prev[BOT] = u
-                        heappush(heap, nd * size + BOT)
+                nd = du - base[BOT]
+                if nd < dist[BOT] and not to_bottom >> x & 1:
+                    dist[BOT] = nd
+                    prev[BOT] = u
+                    heappush(heap, nd * size + BOT)
             else:  # the bottom node
                 du = d + base[BOT]
                 m = to_bottom & inner
@@ -307,6 +335,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 to_bottom ^= 1 << (v - OUT)
             else:  # in(y) -> out(x): out(x) -> in(y) gives its unit back
                 kids[v - OUT] ^= 1 << (u - 1)
+                floor[v - OUT] = min(floor[v - OUT], offset[u])
             v = u
         else:
             raise InternalError("the augmenting path does not lead back to the source")

@@ -20,7 +20,8 @@ for cross-validation, not as optimizations, and must always agree.
 Bundles are read off the poset's bitmasks: each chain's labels form one
 mask, and a chain meets the down-set of x iff that mask shares a bit with
 x's down-set mask. A top-first chain meets a down-set in a suffix, so the
-bundle element is the first label of that suffix.
+bundle element is the first label of that suffix. Bundle sizes for all
+labels at once come from one bottom-up pass over the covers instead.
 """
 
 from __future__ import annotations
@@ -116,9 +117,25 @@ def _chain_masks(p: Poset, pi: ChainPartition) -> list[int]:
 
 def _bundle_sizes(p: Poset, pi: ChainPartition) -> list[int]:
     """Bundle size of every label, in declaration order: the number of
-    chains that meet its down-set."""
-    masks = _chain_masks(p, pi)
-    return [sum(1 for m in masks if m & down) for down in p._down]
+    chains that meet its down-set.
+
+    Each label gets the mask of the chain ids in its down-set: its own
+    chain's bit ORed with the masks of the labels it covers, in one pass
+    over the covers from the bottom up.
+    """
+    index = p.index
+    meets = [0] * len(p)
+    for c, chain in enumerate(pi.chains):
+        for z in chain:
+            meets[index[z]] = 1 << c
+    children: list[list[int]] = [[] for _ in meets]
+    for lo, hi in p.covers:
+        children[index[hi]].append(index[lo])
+    for x in p.linear_extension():
+        i = index[x]
+        for c in children[i]:
+            meets[i] |= meets[c]
+    return [m.bit_count() for m in meets]
 
 
 def secret_holders(policy: Policy, parent: str, child: str) -> tuple[str, ...]:

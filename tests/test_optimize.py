@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import heapq
 import random
 
 import pytest
@@ -319,3 +321,110 @@ class TestAgainstFlowOracle:
         base = fence(12, 6, False)
         counts = {x: 10**400 * base.count(x) + i for i, x in enumerate(base.poset.elements)}
         self.assert_same(Policy(base.poset, counts))
+
+
+def sparse_users(policy, seed, share=0.1):
+    """The policy's poset with users on about the given share of labels."""
+    rng = random.Random(seed)
+    labels = policy.poset.elements
+    return Policy(policy.poset, {x: rng.randint(1, 5) for x in labels if rng.random() < share})
+
+
+def bottom_first(policy):
+    """The same policy with its labels declared from the bottom up."""
+    p = policy.poset
+    labels = sorted(p.elements, key=lambda x: (len(p.down_set(x)), p.index[x]))
+    return Policy(Poset(labels, p.covers), policy.user_count)
+
+
+class TestSkipsAgainstFlowOracle:
+    """The kernel skips an out-node whose every offer lies above the bound
+    on the sink's distance. These shapes put that test on its edges: a
+    floor exactly on the bound, floors that must come down when a unit is
+    given back, and searches whose bound starts infinite."""
+
+    assert_same = TestAgainstFlowOracle.assert_same
+
+    def test_mostly_zero_users(self):
+        # equal up-set weights put many offers exactly on the bound
+        for i, policy in enumerate(random_policies(60, 24, seed=541)):
+            self.assert_same(sparse_users(policy, i))
+        for i in range(6):
+            self.assert_same(sparse_users(random_policy(60, 0.1, seed=547 + i), i))
+        self.assert_same(sparse_users(fence(60, 0, False), 1))
+        self.assert_same(sparse_users(fence(60, 0, True), 2, share=0.3))
+
+    def test_declared_bottom_first(self):
+        # augmenting paths that give units back
+        for i, policy in enumerate(random_policies(60, 24, seed=557)):
+            self.assert_same(bottom_first(policy))
+            self.assert_same(bottom_first(sparse_users(policy, i)))
+        for i in range(6):
+            self.assert_same(bottom_first(random_policy(60, (0.1, 0.2)[i % 2], seed=563 + i)))
+        for tops, seed in ((5, 0), (40, 1), (90, 2)):
+            self.assert_same(bottom_first(fence(tops, seed, False)))
+
+    def test_total_orders_with_users(self):
+        # the bottom node's one unit goes early, so later bounds start infinite
+        for top_first in (False, True):
+            for n, seed in ((3, 5), (12, 6), (90, 7), (150, 8)):
+                self.assert_same(total_order(n, seed, top_first))
+                self.assert_same(sparse_users(total_order(n, seed, top_first), seed, share=0.2))
+
+
+# partitions too large for the flow oracle, pinned by the sha256 of their
+# text and their metrics
+GOLDEN = [
+    ("random_policy(400, 0.05, 1)", lambda: random_policy(400, 0.05, seed=1),
+     "cb73a409573b4e86a5d6c050dd73e546a98781129cd750e71f26737fb7c0b6ee", 27590, 38, 27590),
+    ("random_policy(400, 0.05, 2)", lambda: random_policy(400, 0.05, seed=2),
+     "a59095a9f57ffc64055b8877f26cfa0f14f1bb8410d569065f292a7fa8a5e400", 25705, 36, 25705),
+    ("random_policy(800, 0.05, 1)", lambda: random_policy(800, 0.05, seed=1),
+     "cf149cfc82f61033b96ae0e8b7567a100083f06b83c110739eaa4bc7477294c8", 61373, 37, 61373),
+    ("fence(500)", lambda: fence(500, 7, False),
+     "f9ccfa0fd77a82d3f1dd5d6f9fe0a20e09c0b45701395300fa58500d3d02c479", 3661, 500, 3661),
+    ("total_order(1200)", lambda: total_order(1200, 8, False),
+     "2b2fcb423ffc657a843c68a7c9592c59f344c82d4ce938177974fd0a17a3f3db", 3055, 1, 3053),
+]
+
+
+class TestGoldenPartitions:
+    @pytest.mark.parametrize(
+        "make, digest, khat, width, cost", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
+    )
+    def test_partition_pinned(self, make, digest, khat, width, cost):
+        res = optimal_partition(make())
+        text = partition_text(res.partition)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert (res.khat, res.width, res.flow_cost) == (khat, width, cost)
+
+
+class TestKernelWork:
+    """Heap pops of one kernel call on the benchmark's shapes: the counts
+    repeat exactly, so a bound on them cannot flake."""
+
+    def heap_pops(self, monkeypatch, policy):
+        count = 0
+        pop = heapq.heappop
+
+        def counted(heap):
+            nonlocal count
+            count += 1
+            return pop(heap)
+
+        work = augment_with_maximum(policy)[0]
+        monkeypatch.setattr(heapq, "heappop", counted)
+        _, w, _ = optimize._chain_parents(work)
+        monkeypatch.undo()
+        # every one of the n - 1 + w searches pops at least the sink
+        assert count >= len(work.poset) - 1 + w
+        return count
+
+    def test_fence_pops(self, monkeypatch):
+        # 78 766 before out-nodes skipped their dead offers and the source
+        # offers stopped passing through the heap
+        assert self.heap_pops(monkeypatch, fence(250, 3, False)) <= 0.6 * 78766
+
+    def test_total_order_pops(self, monkeypatch):
+        # 9 477 before
+        assert self.heap_pops(monkeypatch, total_order(200, 3, False)) <= 0.6 * 9477

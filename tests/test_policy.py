@@ -302,6 +302,21 @@ class TestAgainstOrderQueries:
                         pol.count(x) * len(b) for x, b in bundles.items()
                     )
 
+    def test_aggregates_on_larger_posets(self):
+        # bundle sizes are counted in one pass over the covers; check them
+        # where chains cross many down-sets
+        rng = random.Random(167)
+        for policy in random_policies(12, 40, seed=167, min_n=20):
+            p = policy.poset
+            for _ in range(3):
+                pi = random_chain_partition(p, rng)
+                sizes = [len(_leq_bundle(p, x, pi)) for x in p.elements]
+                assert max_bundle_size(policy, pi) == max(sizes)
+                assert total_secrets(policy, pi) == sum(sizes)
+                assert issued_secrets(policy, pi) == sum(
+                    policy.count(x) * n for x, n in zip(p.elements, sizes)
+                )
+
     def test_secret_holders(self):
         for policy in random_policies(25, 7, seed=163, min_n=3):
             for pol in (policy, augment_with_maximum(policy)[0]):
