@@ -80,8 +80,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     moves by the sink's distance, which is the new shift; only the nodes
     settled closer correct their base. The state that depends on the
     potentials persists across searches and is repaired for those nodes
-    only: the free out-nodes' source offers, kept as one sorted key list,
-    and the in-nodes sorted by b(y) = W(y) - base(in y), with prefix masks.
+    only: the free out-nodes' source offers and the out-nodes routed to the
+    bottom node, each kept as one sorted key list, and the in-nodes sorted
+    by b(y) = W(y) - base(in y), with prefix masks.
 
     An out-node x settled at distance d offers each in-node y below it
     a + b(y), with a = d + base(out x) - W(x), so its offers are one mask
@@ -90,20 +91,36 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     on the sink's distance are dropped: such a node is never settled
     before the sink, and its potential moves by the sink's distance
     either way. The in-nodes sorted by b(y) turn the bound into one more
-    mask. Each out-node also keeps a floor, a lower bound on b(y) over the
+    mask. An offer exactly on the bound is still made: until the sink is
+    pushed, an in-node on the bound may pop first and become the sink's
+    predecessor. An unmatched in-node leads straight to the sink, so it is
+    never settled closer than the sink and its base stays 0: x's offer to
+    it, a + W(y), bounds the sink's distance. So before x offers, the
+    bound is lowered to x's least offer to an unmatched in-node y, found
+    by a search down the prefix masks, and x's offers after y's in key
+    order are cut: y pops before them and pushes the sink ahead of them.
+    None of the offers x then makes could lower the bound further.
+
+    Each out-node also keeps a floor, a lower bound on b(y) over the
     in-nodes it may still offer to. It stays valid because a settled
     in-node's b(y) only grows; it comes down when a unit is given back and
     goes up when a search finds no offer under a finite bound. An
     out-node whose a + floor lies above the bound offers nothing and skips
-    the mask work. An offer exactly on the bound is still made: until the
-    sink is pushed, an in-node on the bound may pop first and become the
-    sink's predecessor. The source offers are not copied into the heap but
-    read from their sorted list as a second stream, merged with the heap
-    in the same (distance, id) order. A minimal label's out-node relaxes
-    nothing but the bottom node. While free its potential stays 0, so
-    only the lowest free one can be the first to reach the bottom node;
-    once routed to the bottom node it is a dead end whose potential is
-    never read.
+    the mask work.
+
+    The source offers are not copied into the heap but read from their
+    sorted list as a second stream, merged with the heap in the same
+    (distance, id) order. The bottom node's offers to the out-nodes routed
+    to it are a third stream: sorted by -base, they come in heap-key order
+    once the bottom node is settled, and only the next one waits in the
+    heap. An offer read after the sink changes nothing, but ties fall as
+    if every offer had been pushed at once: a stream entry settles its
+    out-node only if it beats the out-node's distance, and once the bottom
+    node is settled an in-node's offer to a routed out-node must also beat
+    the bottom node's. A minimal label's out-node relaxes nothing but the
+    bottom node. While free its potential stays 0, so only the lowest free
+    one can be the first to reach the bottom node; once routed to the
+    bottom node it is a dead end whose potential is never read.
     """
     p = work.poset
     n = len(p)
@@ -123,14 +140,13 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     size = 2 * n + 3
     in_bit = [0] + [1 << y for y in range(n)]  # by in-node id
     leaves = sum(1 << x for x in range(n) if not below[x])
-    inner = ((1 << n) - 1) ^ leaves
     parent = [r] * n  # chain parent of every matched in-node
     kids = [0] * n  # in-nodes that out(x) sends its flow to
     supply = [1] * n  # units left on the source edge of out(x)
     supply[r] = w
     free = (1 << n) - 1  # out-nodes with supply left
     all_in = free ^ 1 << r
-    matched = 0  # in-nodes whose sink edge is saturated
+    unmatched = all_in  # in-nodes whose sink edge is not saturated
     to_bottom = 0  # out-nodes that send their unit to the bottom node
     bottom_left = w
     INF = float("inf")
@@ -151,6 +167,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
         dist[v] = 0
     offers.append(INF)  # an end mark: a search reads the offers up to it
     prev = [SRC] * size
+    # the out-nodes of non-minimal labels routed to the bottom node, as
+    # sorted keys (-base[v], node id): the bottom node settled at du offers
+    # them du - base[v] in this order
+    routed: list[int] = []
     # the in-nodes as sorted keys (b(y), node id), their bits and the
     # prefix masks: within[k] holds the first k of them
     offset = [0] + weight  # b(y) by in-node id
@@ -158,7 +178,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     bits = [in_bit[k % size] for k in keys]
     within = list(accumulate(bits, or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
-    # floor[x] <= b(y) for every in-node y in below[x] & ~kids[x]. At first
+    # floor[x] <= b(y) for every in-node y in below[x] ^ kids[x]. At first
     # b(y) = W(y), least on a label that x covers, as W only grows downwards
     floor: list[float] = [INF] * n
     for lo, hi in p.covers:
@@ -177,6 +197,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
         settled = []  # heap keys of the nodes settled before the sink, in order
         touched = []  # out-nodes whose distance or predecessor changed
         i = 0  # the next source offer
+        bot = INF  # d + base of the bottom node once it is settled
+        # the heap key of the bottom node's queued offer; -1 would be the
+        # source's, which is never queued
+        head = -1
 
         while True:
             key = offers[i]
@@ -197,11 +221,13 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 pending ^= bit
                 settled.append(key)
                 du = d + base[u]
-                if matched & bit:
+                if not unmatched & bit:
                     x = parent[y]
                     v = OUT + x
-                    nd = du + weight[x] - weight[y] - base[v]
-                    if nd < dist[v]:
+                    du += weight[x] - weight[y]
+                    nd = du - base[v]
+                    # a routed out-node keeps the bottom node's offer on a tie
+                    if nd < dist[v] and (du < bot or not to_bottom >> x & 1):
                         dist[v] = nd
                         prev[v] = u
                         touched.append(v)
@@ -211,7 +237,19 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                     prev[SINK] = u
                     heappush(heap, du * size)
                 continue
-            if d > dist[u]:
+            if key == head:  # the bottom node's offer: queue the next one
+                j += 1
+                if j < len(routed):
+                    head = bot * size + routed[j]
+                    heappush(heap, head)
+                else:
+                    head = -1
+                if d >= dist[u]:
+                    continue
+                dist[u] = d
+                prev[u] = BOT
+                touched.append(u)
+            elif d > dist[u]:
                 continue
             settled.append(key)
             if u < BOT:  # out(x)
@@ -224,21 +262,41 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                     elif bound == INF:
                         # every in-node: bound - a would overflow a float
                         # on huge user counts
-                        cand = below[x] & ~kids[x]
+                        k = len(keys)
+                        cand = below[x] ^ kids[x]
                     else:
                         k = bisect_left(keys, (bound - a + 1) * size)
-                        cand = below[x] & ~kids[x] & within[k]
+                        cand = (below[x] ^ kids[x]) & within[k]
                         if not cand:
                             floor[x] = bound - a + 1
                     if cand:
+                        free_in = cand & unmatched
+                        if free_in:
+                            # an unmatched in-node's base is 0, so the cheapest
+                            # offer to one bounds the sink: find the least hi
+                            # whose prefix holds one, searching down from k.
+                            # The sink is pushed when that in-node pops, so
+                            # every offer after it in key order is cut
+                            lo, hi, step = 1, k, 1
+                            while lo < hi:
+                                mid = (lo + hi) // 2
+                                if hi - step > mid:
+                                    mid = hi - step
+                                if within[mid] & free_in:
+                                    hi = mid
+                                    step *= 2
+                                else:
+                                    lo = mid + 1
+                            bound = a + keys[hi - 1] // size
+                            cand &= within[hi]
                         better = cand & unreached
                         old = cand & pending
+                        unreached ^= better
                         while old:
                             low = old & -old
                             old ^= low
                             if a < best[low.bit_length() - 1]:
                                 better |= low
-                        unreached &= ~better
                         pending |= better
                         while better:
                             low = better & -better
@@ -248,8 +306,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                             prev[v] = u
                             best[v - 1] = a
                             heappush(heap, nd * size + v)
-                            if not matched & low and nd + base[v] < bound:
-                                bound = nd + base[v]
                 else:  # the lowest free minimal label's out-node, at potential 0
                     du = d - shift
                 nd = du - base[BOT]
@@ -258,22 +314,15 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                     prev[BOT] = u
                     heappush(heap, nd * size + BOT)
             else:  # the bottom node
-                du = d + base[BOT]
-                m = to_bottom & inner
-                while m:
-                    low = m & -m
-                    m ^= low
-                    v = OUT - 1 + low.bit_length()
-                    nd = du - base[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev[v] = u
-                        touched.append(v)
-                        heappush(heap, nd * size + v)
-                if bottom_left and du < dist[SINK]:
-                    dist[SINK] = du
+                bot = d + base[BOT]
+                if routed:
+                    j = 0
+                    head = bot * size + routed[0]
+                    heappush(heap, head)
+                if bottom_left and bot < dist[SINK]:
+                    dist[SINK] = bot
                     prev[SINK] = u
-                    heappush(heap, du * size)
+                    heappush(heap, bot * size)
 
         # correct the nodes settled closer than the sink:
         # base += dist - dist(sink)
@@ -289,6 +338,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 if free >> (v - OUT) & 1:  # re-key its source offer
                     del offers[bisect_left(offers, -base[v] * size + v)]
                     insort(offers, (d - t - base[v]) * size + v)
+                if to_bottom >> (v - OUT) & 1:  # and its place in the routed ones
+                    del routed[bisect_left(routed, -base[v] * size + v)]
+                    insort(routed, (d - t - base[v]) * size + v)
             base[v] += t - d
         if moved:
             # a settled in-node's b(y) only grows: the prefix masks change
@@ -317,12 +369,14 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 if u == BOT:
                     bottom_left -= 1
                 else:
-                    matched |= 1 << (u - 1)
+                    unmatched ^= 1 << (u - 1)
             elif v < OUT:  # out(x) -> in(y) gains the unit
                 parent[v - 1] = u - OUT
                 kids[u - OUT] |= 1 << (v - 1)
             elif v == BOT:
                 to_bottom |= 1 << (u - OUT)
+                if below[u - OUT]:
+                    insort(routed, -base[u] * size + u)
             elif u == SRC:
                 x = v - OUT
                 supply[x] -= 1
@@ -333,8 +387,12 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                         touched.append(v)
             elif u == BOT:
                 to_bottom ^= 1 << (v - OUT)
+                del routed[bisect_left(routed, -base[v] * size + v)]
             else:  # in(y) -> out(x): out(x) -> in(y) gives its unit back
                 kids[v - OUT] ^= 1 << (u - 1)
+                # a no-op unless out(x) sends the unit on to the bottom node:
+                # a new kid z on the path ends with b(z) = b(y), and the
+                # floor was at most b(z)
                 floor[v - OUT] = min(floor[v - OUT], offset[u])
             v = u
         else:

@@ -372,6 +372,18 @@ class TestSkipsAgainstFlowOracle:
                 self.assert_same(sparse_users(total_order(n, seed, top_first), seed, share=0.2))
 
 
+class TestBottomStreamAgainstFlowOracle:
+    """The settled bottom node's offers to the out-nodes routed to it are
+    read one at a time, so ties must fall as if all were pushed at once."""
+
+    assert_same = TestAgainstFlowOracle.assert_same
+
+    def test_in_node_ties_the_bottom_node(self):
+        # the maximum, routed to the bottom node, is offered the bottom
+        # node's distance again by one of its own chain children
+        self.assert_same(random_policy(30, 0.3, seed=208))
+
+
 # partitions too large for the flow oracle, pinned by the sha256 of their
 # text and their metrics
 GOLDEN = [
@@ -385,6 +397,12 @@ GOLDEN = [
      "f9ccfa0fd77a82d3f1dd5d6f9fe0a20e09c0b45701395300fa58500d3d02c479", 3661, 500, 3661),
     ("total_order(1200)", lambda: total_order(1200, 8, False),
      "2b2fcb423ffc657a843c68a7c9592c59f344c82d4ce938177974fd0a17a3f3db", 3055, 1, 3053),
+    # give-backs that re-route units through the bottom node
+    ("bottom_first(fence(400))", lambda: bottom_first(fence(400, 4, False)),
+     "02b7ea28b77cd84ba32237d5970ee22882b188d9db11e85330be82704b666693", 2877, 400, 2877),
+    # equal up-set weights: many offers on the tightened sink bound
+    ("sparse_users(fence(400))", lambda: sparse_users(fence(400, 5, True), 3),
+     "ae212663473fbd52ad14d1d8e20c8b43d2d8ebaeb2e37a7dc18cd3ad0ab5741c", 361, 400, 361),
 ]
 
 
@@ -400,25 +418,34 @@ class TestGoldenPartitions:
 
 
 class TestKernelWork:
-    """Heap pops of one kernel call on the benchmark's shapes: the counts
-    repeat exactly, so a bound on them cannot flake."""
+    """Heap pops and pushes of one kernel call on the benchmark's shapes:
+    the counts repeat exactly, so a bound on them cannot flake."""
 
-    def heap_pops(self, monkeypatch, policy):
-        count = 0
-        pop = heapq.heappop
+    def heap_work(self, monkeypatch, policy):
+        pops = pushes = 0
+        pop, push = heapq.heappop, heapq.heappush
 
-        def counted(heap):
-            nonlocal count
-            count += 1
+        def counted_pop(heap):
+            nonlocal pops
+            pops += 1
             return pop(heap)
 
+        def counted_push(heap, item):
+            nonlocal pushes
+            pushes += 1
+            push(heap, item)
+
         work = augment_with_maximum(policy)[0]
-        monkeypatch.setattr(heapq, "heappop", counted)
+        monkeypatch.setattr(heapq, "heappop", counted_pop)
+        monkeypatch.setattr(heapq, "heappush", counted_push)
         _, w, _ = optimize._chain_parents(work)
         monkeypatch.undo()
         # every one of the n - 1 + w searches pops at least the sink
-        assert count >= len(work.poset) - 1 + w
-        return count
+        assert pushes >= pops >= len(work.poset) - 1 + w
+        return pops, pushes
+
+    def heap_pops(self, monkeypatch, policy):
+        return self.heap_work(monkeypatch, policy)[0]
 
     def test_fence_pops(self, monkeypatch):
         # 78 766 before out-nodes skipped their dead offers and the source
@@ -428,3 +455,13 @@ class TestKernelWork:
     def test_total_order_pops(self, monkeypatch):
         # 9 477 before
         assert self.heap_pops(monkeypatch, total_order(200, 3, False)) <= 0.6 * 9477
+
+    def test_fence_pushes(self, monkeypatch):
+        # 204 788 while every offer under the bound was pushed before the
+        # bound was tightened, and the settled bottom node pushed every
+        # routed out-node it improved
+        assert self.heap_work(monkeypatch, fence(250, 3, False))[1] <= 0.4 * 204788
+
+    def test_total_order_pushes(self, monkeypatch):
+        # 7 665 before
+        assert self.heap_work(monkeypatch, total_order(200, 3, False))[1] <= 0.6 * 7665
