@@ -106,7 +106,11 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     in-node's b(y) only grows; it comes down when a unit is given back and
     goes up when a search finds no offer under a finite bound. An
     out-node whose a + floor lies above the bound offers nothing and skips
-    the mask work.
+    the mask work. In a search whose bound starts at 0 the out-nodes whose
+    floor exceeds W(x) rest: they offer nothing under the bound, so they
+    are not read from the source offers, and one heap entry, the lowest of
+    them not routed to the bottom node, makes the one move they have left,
+    the bottom node's relaxation.
 
     The source offers are not copied into the heap but read from their
     sorted list as a second stream, merged with the heap in the same
@@ -184,6 +188,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     for lo, hi in p.covers:
         x = p.index[hi]
         floor[x] = min(floor[x], weight[p.index[lo]])
+    # the out-nodes whose floor is at most W(x): the others rest through a
+    # search under a zero bound
+    awake = sum(1 << x for x in range(n) if floor[x] <= weight[x])
 
     for _ in range(n - 1 + w):
         # a bound on the sink's shifted distance, which is its true one as
@@ -193,6 +200,25 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
         first = free & leaves
         if first:  # the lowest free minimal label's out-node, at potential 0
             heappush(heap, shift * size + OUT - 1 + (first & -first).bit_length())
+        if bound:
+            stream = offers
+        else:
+            # the sink's distance never falls and is 0 here, so no earlier
+            # search settled a node closer than the sink and no base has
+            # moved: every source offer is 0, a = -W(x), and a resting
+            # out-node has no offer under the bound. Only the awake ones
+            # are read; the lowest resting one that may relax the bottom
+            # node waits in the heap for all of them
+            stream = []
+            left = free & awake
+            while left:
+                low = left & -left
+                left ^= low
+                stream.append(OUT - 1 + low.bit_length())
+            stream.append(INF)
+            resting = free & ~(awake | to_bottom | leaves)
+            if resting:
+                heappush(heap, OUT - 1 + (resting & -resting).bit_length())
         unreached, pending = all_in, 0
         settled = []  # heap keys of the nodes settled before the sink, in order
         touched = []  # out-nodes whose distance or predecessor changed
@@ -203,7 +229,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
         head = -1
 
         while True:
-            key = offers[i]
+            key = stream[i]
             if heap[0] < key:
                 key = heappop(heap)
             elif key == INF:
@@ -268,7 +294,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                         k = bisect_left(keys, (bound - a + 1) * size)
                         cand = (below[x] ^ kids[x]) & within[k]
                         if not cand:
+                            # d <= bound and base <= 0, so the floor now
+                            # exceeds W(x)
                             floor[x] = bound - a + 1
+                            awake &= ~(1 << x)
                     if cand:
                         free_in = cand & unmatched
                         if free_in:
@@ -389,11 +418,14 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 to_bottom ^= 1 << (v - OUT)
                 del routed[bisect_left(routed, -base[v] * size + v)]
             else:  # in(y) -> out(x): out(x) -> in(y) gives its unit back
-                kids[v - OUT] ^= 1 << (u - 1)
+                x = v - OUT
+                kids[x] ^= 1 << (u - 1)
                 # a no-op unless out(x) sends the unit on to the bottom node:
                 # a new kid z on the path ends with b(z) = b(y), and the
                 # floor was at most b(z)
-                floor[v - OUT] = min(floor[v - OUT], offset[u])
+                floor[x] = min(floor[x], offset[u])
+                if floor[x] <= weight[x]:
+                    awake |= 1 << x
             v = u
         else:
             raise InternalError("the augmenting path does not lead back to the source")

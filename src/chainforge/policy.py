@@ -290,10 +290,9 @@ def augment_with_maximum(policy: Policy) -> tuple[Policy, str, bool]:
     while top in p:
         k += 1
         top = f"r{k}"
-    covers = p.covers + tuple((m, top) for m in p.maximal_elements())
     counts = dict(policy.user_count)
     counts[top] = 0
-    return Policy(Poset(p.elements + (top,), covers), counts), top, True
+    return Policy(p.with_top(top), counts), top, True
 
 
 def attach_to_maximum(policy: Policy, pi: ChainPartition) -> tuple[Policy, ChainPartition]:

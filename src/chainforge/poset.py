@@ -132,6 +132,26 @@ class Poset:
                     f"cover {child!r} < {parent!r} is implied transitively"
                 )
 
+    def with_top(self, top: str) -> Poset:
+        """This poset plus a new label ``top`` covering its maximal elements.
+
+        Equal to ``Poset(elements + (top,), covers + maximal covers)``, but
+        extends the masks already computed instead of checking and closing
+        the covers again.
+        """
+        _check_label(top)
+        if top in self.index:
+            raise DuplicateLabel(f"label {top!r} declared twice")
+        n = len(self.elements)
+        bit = 1 << n
+        new = Poset.__new__(Poset)
+        new.elements = self.elements + (top,)
+        new.covers = self.covers + tuple((m, top) for m in self.maximal_elements())
+        new.index = {**self.index, top: n}
+        new._down = self._down + [(bit << 1) - 1]
+        new._up = [up | bit for up in self._up] + [bit]
+        return new
+
     # -- queries ----------------------------------------------------------
 
     def __len__(self) -> int:

@@ -384,6 +384,71 @@ class TestBottomStreamAgainstFlowOracle:
         self.assert_same(random_policy(30, 0.3, seed=208))
 
 
+def declared_in_reverse(policy):
+    p = policy.poset
+    return Policy(Poset(p.elements[::-1], p.covers), policy.user_count)
+
+
+def users_on(policy, labels):
+    """The policy's poset with its user counts kept only on the given labels."""
+    return Policy(policy.poset, {x: policy.count(x) for x in labels})
+
+
+class TestRestingAgainstFlowOracle:
+    """Under a zero sink bound the kernel reads from the source offers only
+    the awake out-nodes, those whose floor is at most W(x). The resting
+    ones are stood for by one heap entry: the lowest that may relax the
+    bottom node. These shapes put that on its edges."""
+
+    assert_same = TestAgainstFlowOracle.assert_same
+
+    def test_routed_maximum(self):
+        # the maximum is free and routed to the bottom node at once, so it
+        # must not stand for the resting out-nodes
+        self.assert_same(sparse_users(random_policy(19, 0.4, seed=54), 54))
+        self.assert_same(declared_in_reverse(random_policy(77, 0.4, seed=129)))
+
+    def test_zero_weight_covers(self):
+        # a cover with no users between its ends keeps its parent awake, so
+        # awake and resting out-nodes interleave in id order
+        for i, policy in enumerate(random_policies(60, 24, seed=571)):
+            self.assert_same(sparse_users(policy, i, share=(0.1, 0.3)[i % 2]))
+            self.assert_same(declared_in_reverse(sparse_users(policy, i)))
+        for tops, seed in ((6, 0), (40, 1), (90, 2)):
+            f = fence(tops, seed, seed % 2 == 1)
+            self.assert_same(users_on(f, f.poset.elements[: tops : 2]))
+            self.assert_same(users_on(f, f.poset.elements[tops::3]))
+
+    def test_give_backs_on_bottom_first_fences(self):
+        for tops, seed in ((8, 0), (40, 1), (90, 2)):
+            for share in (0.1, 0.3, 0.5):
+                self.assert_same(bottom_first(sparse_users(fence(tops, seed, False), seed, share)))
+                self.assert_same(bottom_first(sparse_users(fence(tops, seed, True), seed, share)))
+
+    def test_give_back_wakes_a_resting_out_node(self):
+        # the rare give-back that lowers a floor to W(x) under a zero bound
+        for n, density, seed, users_seed, share in (
+            (7, 0.3, 700222052, 1046, 0.1),
+            (22, 0.8, 700221106, 100, 0.1),
+            (26, 0.5, 700321966, 957, 0.3),
+            (31, 0.8, 700122825, 1822, 0.1),
+        ):
+            self.assert_same(sparse_users(random_policy(n, density, seed), users_seed, share))
+
+    def test_maximum_declared_first_mid_list_and_last(self):
+        for i, policy in enumerate(random_policies(12, 18, seed=577, min_n=2)):
+            n = len(policy.poset)
+            for position in (0, n // 2, n):
+                self.assert_same(with_maximum_at(sparse_users(policy, i, share=0.3), position))
+
+    def test_huge_counts(self):
+        # resting out-nodes beside awake ones, with counts past float range
+        for base in (sparse_users(fence(30, 7, False), 7, share=0.3),
+                     sparse_users(random_policy(40, 0.15, seed=583), 5)):
+            counts = {x: 10**400 * c + i for i, (x, c) in enumerate(base.user_count.items()) if c}
+            self.assert_same(Policy(base.poset, counts))
+
+
 # partitions too large for the flow oracle, pinned by the sha256 of their
 # text and their metrics
 GOLDEN = [

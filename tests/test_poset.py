@@ -205,6 +205,63 @@ class TestEnsureMaximum:
             augment_with_maximum(Policy(Poset([])))
 
 
+def fence_poset(tops, reverse):
+    t = [f"t{i}" for i in range(tops)]
+    b = [f"b{i}" for i in range(tops)]
+    covers = [(b[i], t[i]) for i in range(tops)] + [(b[i], t[i - 1]) for i in range(1, tops)]
+    return Poset((t[::-1] if reverse else t) + b, covers)
+
+
+def total_order_poset(n, top_first):
+    labels = [f"c{i}" for i in range(n)]
+    return Poset(labels[::-1] if top_first else labels, list(zip(labels, labels[1:])))
+
+
+class TestWithTop:
+    """Poset.with_top extends the masks already built; the result must be
+    the poset that a full build of the same elements and covers gives."""
+
+    def assert_built_alike(self, p, top):
+        got = p.with_top(top)
+        covers = p.covers + tuple((m, top) for m in p.maximal_elements())
+        want = Poset(p.elements + (top,), covers)
+        for field in Poset.__slots__:
+            assert getattr(got, field) == getattr(want, field), field
+
+    def test_random_policies(self):
+        for policy in random_policies(60, 14, seed=61):
+            self.assert_built_alike(policy.poset, "r")
+        for i, density in enumerate((0.02, 0.1, 0.3)):
+            self.assert_built_alike(random_policy(120, density, seed=67 + i).poset, "r")
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["increasing", "reversed"])
+    def test_fences(self, reverse):
+        for tops in (1, 2, 5, 80):
+            self.assert_built_alike(fence_poset(tops, reverse), "r")
+
+    @pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
+    def test_total_orders(self, top_first):
+        # one maximal element: the new top covers only it
+        for n in (1, 2, 40):
+            self.assert_built_alike(total_order_poset(n, top_first), "r")
+
+    def test_suffixed_top_names(self):
+        for labels in (["r", "s"], ["s", "r", "r1"], ["r1", "x", "r"]):
+            p = Poset(labels)
+            pol, top, added = augment_with_maximum(Policy(p))
+            assert added and top not in labels
+            self.assert_built_alike(p, top)
+            want = Poset(p.elements + (top,), [(x, top) for x in labels])
+            for field in Poset.__slots__:
+                assert getattr(pol.poset, field) == getattr(want, field), field
+
+    def test_bad_or_taken_label_rejected(self, demo_poset):
+        with pytest.raises(DuplicateLabel):
+            demo_poset.with_top("h")
+        with pytest.raises(InvalidLabel):
+            demo_poset.with_top("a b")
+
+
 class TestChainPredicates:
     def test_known_chain_partitions(self, demo_poset):
         assert demo_poset.is_chain_partition([["a", "c", "e", "g", "h"], ["b", "d", "f"]])
