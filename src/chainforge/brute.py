@@ -100,6 +100,4 @@ def brute_minimum(policy: Policy, limit: int = DEFAULT_LIMIT) -> OracleReport:
             best, argmin, min_chains = k, pi, len(pi.chains)
         elif k == best:
             min_chains = min(min_chains, len(pi.chains))
-    if argmin is None:
-        raise ValueError("empty poset has no chain partitions to scan")
     return OracleReport(best, argmin, examined, min_chains)

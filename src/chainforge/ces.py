@@ -162,16 +162,14 @@ def derive(
     _require_partition(policy, pi)
 
     chain = next(c for c in pi.chains if y in c)
-    start = None
-    for i, z in enumerate(chain):
-        if z in bundle.secrets and p.leq(y, z):
-            start = i
-            break
+    # the checked chain is top-first: the first bundle label up to y covers y
+    pos = chain.index(y)
+    start = next((i for i in range(pos + 1) if chain[i] in bundle.secrets), None)
     if start is None:
         raise NotAuthorized(f"bundle for {bundle.label!r} holds no secret covering {y!r}")
 
     secret = bundle.secrets[chain[start]]
-    for _ in range(chain.index(y) - start):
+    for _ in range(pos - start):
         secret = params.apply_f(secret)
     return params.apply_h(secret)
 

@@ -281,9 +281,6 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NotAuthorized as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -293,10 +290,7 @@ def main(argv=None) -> int:
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 1
-    except ChainforgeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ChainforgeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:

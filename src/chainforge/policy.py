@@ -75,9 +75,10 @@ class ChainPartition:
         blocks = [tuple(b) for b in blocks]
         if any(not b for b in blocks):
             raise InvalidPartition("empty chain")
-        if not poset.is_chain_partition(blocks):
+        chains = tuple(map(poset.descending, blocks))
+        if poset._partition_fault(chains) is not None:
             raise InvalidPartition("blocks are not disjoint chains covering the poset")
-        return cls(tuple(poset.descending(b) for b in blocks))
+        return cls(chains)
 
     @property
     def tops(self) -> tuple[str, ...]:
@@ -98,15 +99,9 @@ class DerivationTree:
 
 
 def _require_partition(policy: Policy, pi: ChainPartition) -> None:
-    p = policy.poset
-    for chain in pi.chains:
-        if not chain:
-            raise InvalidPartition("empty chain")
-        for hi, lo in zip(chain, chain[1:]):
-            if not p.lt(lo, hi):
-                raise InvalidPartition(f"chain not in descending order at {hi!r} > {lo!r}")
-    if not p.is_chain_partition(pi.chains):
-        raise InvalidPartition("chains are not disjoint or do not cover the poset")
+    fault = policy.poset._partition_fault(pi.chains)
+    if fault is not None:
+        raise InvalidPartition(fault)
 
 
 def _chain_masks(p: Poset, pi: ChainPartition) -> list[int]:

@@ -246,22 +246,33 @@ class Poset:
     def is_chain_partition(self, blocks: Iterable[Iterable[str]]) -> bool:
         """True iff the blocks are disjoint chains that cover all elements.
 
-        Each block is walked top-first, and every label must lie strictly
-        below the one before it. An unknown label in any block is an error,
-        not a False.
+        A block may list its labels in any order, and empty blocks are
+        ignored. An unknown label in any block is an error, not a False.
         """
-        chains = [self.descending(b) for b in blocks]
+        return self._partition_fault([c for c in map(self.descending, blocks) if c]) is None
+
+    def _partition_fault(self, chains: Sequence[Sequence[str]]) -> str | None:
+        """Why chains given top-first do not partition the poset, or None.
+
+        The first fault in this order: chain by chain, an empty chain or a
+        label not strictly below the one before it (tested as ``lt`` does,
+        the upper label looked up first); then an unknown label anywhere
+        raises ``UnknownLabel``; last, a label in two chains or in none.
+        """
+        for chain in chains:
+            if not chain:
+                return "empty chain"
+            for hi, lo in zip(chain, chain[1:]):
+                if lo == hi or not self._down[self._i(hi)] >> self._i(lo) & 1:
+                    return f"chain not in descending order at {hi!r} > {lo!r}"
         seen = 0
         for chain in chains:
-            below = -1  # every bit: any label may top a chain
             for lab in chain:
-                i = self.index[lab]
-                bit = 1 << i
-                if not below & bit or seen & bit:
-                    return False
-                seen |= bit
-                below = self._down[i] ^ bit
-        return seen == (1 << len(self.elements)) - 1
+                seen |= 1 << self._i(lab)
+        # descending chains repeat no label: len(self) labels in all that cover are disjoint
+        if sum(map(len, chains)) != len(self) or seen != (1 << len(self)) - 1:
+            return "chains are not disjoint or do not cover the poset"
+        return None
 
     def descending(self, labels: Iterable[str]) -> tuple[str, ...]:
         """Sort the labels of a chain from top to bottom."""

@@ -1,6 +1,6 @@
 import pytest
 
-from chainforge import Policy, Poset
+from chainforge import ChainPartition, Policy, Poset
 from chainforge.brute import brute_minimum, enumerate_chain_partitions
 from chainforge.errors import TooLarge
 from chainforge.policy import issued_secrets
@@ -111,6 +111,14 @@ class TestBruteMinimum:
         assert report.partitions_examined == 1335
         assert report.min_chain_count_at_min == 2
         assert issued_secrets(demo_unit, report.argmin) == 13
+
+    def test_empty_poset(self):
+        # its one partition, the empty one, is scanned like any other
+        report = brute_minimum(Policy(Poset([])))
+        assert report.min_khat == 0
+        assert report.partitions_examined == 1
+        assert report.min_chain_count_at_min == 0
+        assert report.argmin == ChainPartition(())
 
     def test_zero_counts(self, demo_poset):
         report = brute_minimum(Policy(demo_poset))

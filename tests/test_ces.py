@@ -296,6 +296,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             bundle_from_text("bundle h\ng secret zz\n")
 
+    def test_bundle_text_rejects_a_line_without_three_fields(self):
+        with pytest.raises(ValueError, match=r"^bad bundle line: 'foo bar'$"):
+            bundle_from_text("bundle h\nfoo bar\n")
+        with pytest.raises(ValueError, match=r"^bad bundle line: 'g key 00'$"):
+            bundle_from_text("bundle h\ng key 00\n")
+
     def test_bundle_text_rejects_second_secret_for_a_label(self, demo_unit, material):
         text = bundle_to_text(issue_bundle(material, demo_unit, "h"))
         with pytest.raises(ValueError, match="'g'"):

@@ -325,6 +325,16 @@ class TestSetupAndDerive:
         assert out == ""
         assert repr(extra.split()[0]) in err
 
+    def test_derive_bad_bundle_line_exits_2(self, capsys, demo_file, tmp_path):
+        part = tmp_path / "c.partition"
+        part.write_text(PART_C)
+        bundle = tmp_path / "bundle-h.txt"
+        bundle.write_text("bundle h\nfoo bar\n")
+        code, out, err = run(capsys, "derive", demo_file, str(part), str(bundle), "a")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad bundle line: 'foo bar'\n"
+
     def test_derive_non_hex_secret_exits_2(self, capsys, demo_file, tmp_path):
         part = tmp_path / "c.partition"
         part.write_text(PART_C)

@@ -6,12 +6,14 @@ from chainforge import ChainPartition, Policy, Poset
 from chainforge.brute import enumerate_chain_partitions
 from chainforge.errors import (
     InvalidPartition,
+    MalformedFlow,
     NoMaximum,
     NotComparable,
     UnknownLabel,
 )
 from chainforge.gen import random_chain_partition
 from chainforge.policy import (
+    _chains_from_parents,
     attach_to_maximum,
     augment_with_maximum,
     bundle_labels,
@@ -206,6 +208,22 @@ class TestDerivationTree:
         pi = ChainPartition.from_blocks(p, [["x"], ["y"]])
         with pytest.raises(NoMaximum):
             derivation_tree(pol, pi)
+
+
+class TestChainsFromParents:
+    # r > a > b with w = 1: exactly one link may lead to the maximum
+    @pytest.fixture(scope="class")
+    def three(self):
+        return Poset(["r", "a", "b"], [("a", "r"), ("b", "a")])
+
+    def test_too_many_children_of_the_maximum(self, three):
+        with pytest.raises(MalformedFlow, match="^maximum has 2 chain children, expected 1 or 0$"):
+            _chains_from_parents(three, "r", 1, {"a": "r", "b": "r"})
+
+    def test_links_that_miss_labels(self, three):
+        # a and b link to each other, so no walk from the maximum reaches them
+        with pytest.raises(MalformedFlow, match="^decoded chains do not cover the poset$"):
+            _chains_from_parents(three, "r", 1, {"a": "b", "b": "a"})
 
 
 class TestIssuedSecretsFormulas:
