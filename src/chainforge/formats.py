@@ -107,9 +107,11 @@ def parse_partition(text: str, poset: Poset) -> ChainPartition:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        chain = tuple(tok for tok in line.split(">") if tok)
-        if not chain:
+        chain = tuple(line.split(">"))
+        if not any(chain):
             raise ParseError("empty chain", lineno)
+        if not all(chain):
+            raise ParseError("empty label in chain", lineno)
         blocks.append((chain, lineno))
     if not blocks:
         raise ParseError("partition file has no chains")

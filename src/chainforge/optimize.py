@@ -89,10 +89,14 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     operation on x's down-set: in-nodes not yet reached take it, reached
     ones only if a is below their best offer so far. Offers above a bound
     on the sink's distance are dropped: such a node is never settled
-    before the sink, and its potential moves by the sink's distance
-    either way. The in-nodes sorted by b(y) turn the bound into one more
-    mask. An offer exactly on the bound is still made: until the sink is
-    pushed, an in-node on the bound may pop first and become the sink's
+    before the sink, and its potential moves by the sink's distance either
+    way. A search's bound opens at 0 while the bottom node has room and a
+    free out-node is not routed to it, as the path through them costs 0,
+    and otherwise at 1 + sum W(y): path costs are nonnegative and add up
+    to the flow's cost, which is at most sum W(y), since a link x -> y
+    costs W(y) - W(x). The in-nodes sorted by b(y) turn the bound into one
+    more mask. An offer exactly on the bound is still made: until the sink
+    is pushed, an in-node on the bound may pop first and become the sink's
     predecessor. An unmatched in-node leads straight to the sink, so it is
     never settled closer than the sink and its base stays 0: x's offer to
     it, a + W(y), bounds the sink's distance. So before x offers, the
@@ -104,13 +108,17 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     Each out-node also keeps a floor, a lower bound on b(y) over the
     in-nodes it may still offer to. It stays valid because a settled
     in-node's b(y) only grows; it comes down when a unit is given back and
-    goes up when a search finds no offer under a finite bound. An
-    out-node whose a + floor lies above the bound offers nothing and skips
-    the mask work. In a search whose bound starts at 0 the out-nodes whose
-    floor exceeds W(x) rest: they offer nothing under the bound, so they
-    are not read from the source offers, and one heap entry, the lowest of
-    them not routed to the bottom node, makes the one move they have left,
-    the bottom node's relaxation.
+    goes up when a search finds no offer under the bound. An out-node
+    whose a + floor lies above the bound offers nothing and skips the mask
+    work.
+
+    A free out-node whose one move is the bottom node's relaxation is
+    idle: a minimal label's, and under a zero bound one that is not awake
+    (its floor exceeds W(x), so it offers nothing under the bound) and not
+    routed to the bottom node. Idle out-nodes sit at potential 0 and are
+    not read from the source offers; they all make the same relaxation,
+    so one heap entry, the lowest, stands for them. A routed minimal
+    label's out-node is a dead end whose potential is never read.
 
     The source offers are not copied into the heap but read from their
     sorted list as a second stream, merged with the heap in the same
@@ -121,10 +129,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     if every offer had been pushed at once: a stream entry settles its
     out-node only if it beats the out-node's distance, and once the bottom
     node is settled an in-node's offer to a routed out-node must also beat
-    the bottom node's. A minimal label's out-node relaxes nothing but the
-    bottom node. While free its potential stays 0, so only the lowest free
-    one can be the first to reach the bottom node; once routed to the
-    bottom node it is a dead end whose potential is never read.
+    the bottom node's.
     """
     p = work.poset
     n = len(p)
@@ -142,17 +147,20 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     # y + 1 and out(x) is OUT + x for declaration indices x, y (in(r) is unused)
     SINK, OUT, BOT, SRC = 0, n + 1, 2 * n + 1, 2 * n + 2
     size = 2 * n + 3
-    in_bit = [0] + [1 << y for y in range(n)]  # by in-node id
     leaves = sum(1 << x for x in range(n) if not below[x])
     parent = [r] * n  # chain parent of every matched in-node
     kids = [0] * n  # in-nodes that out(x) sends its flow to
-    supply = [1] * n  # units left on the source edge of out(x)
-    supply[r] = w
-    free = (1 << n) - 1  # out-nodes with supply left
+    # out-nodes with a unit left on their source edge: one each, and out(r)
+    # holds spare more
+    free = (1 << n) - 1
+    spare = w - 1
     all_in = free ^ 1 << r
     unmatched = all_in  # in-nodes whose sink edge is not saturated
-    to_bottom = 0  # out-nodes that send their unit to the bottom node
-    bottom_left = w
+    # out-nodes that send their unit to the bottom node, which has room for
+    # w units and never gets one back from the sink
+    to_bottom = 0
+    # a bound above every augmenting path's cost, and above 0
+    top_bound = sum(weight) + 1
     INF = float("inf")
     heappush, heappop = heapq.heappush, heapq.heappop
 
@@ -179,7 +187,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     # prefix masks: within[k] holds the first k of them
     offset = [0] + weight  # b(y) by in-node id
     keys = sorted(y + 1 + weight[y] * size for y in range(n) if y != r)
-    bits = [in_bit[k % size] for k in keys]
+    bits = [1 << (k % size - 1) for k in keys]
     within = list(accumulate(bits, or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
     # floor[x] <= b(y) for every in-node y in below[x] ^ kids[x]. At first
@@ -195,20 +203,18 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     for _ in range(n - 1 + w):
         # a bound on the sink's shifted distance, which is its true one as
         # its base is 0: the path source -> out(x) -> bottom -> sink costs 0
-        bound = 0 if bottom_left and free & ~to_bottom else INF
+        room = to_bottom.bit_count() < w
+        bound = 0 if room and free & ~to_bottom else top_bound
         heap = [INF]  # an end mark, like the offers'
-        first = free & leaves
-        if first:  # the lowest free minimal label's out-node, at potential 0
-            heappush(heap, shift * size + OUT - 1 + (first & -first).bit_length())
         if bound:
             stream = offers
+            idle = free & leaves
         else:
             # the sink's distance never falls and is 0 here, so no earlier
             # search settled a node closer than the sink and no base has
-            # moved: every source offer is 0, a = -W(x), and a resting
-            # out-node has no offer under the bound. Only the awake ones
-            # are read; the lowest resting one that may relax the bottom
-            # node waits in the heap for all of them
+            # moved: every source offer is 0, a = -W(x), and an out-node
+            # that is not awake has no offer under the bound. Only the
+            # awake ones are read
             stream = []
             left = free & awake
             while left:
@@ -216,9 +222,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 left ^= low
                 stream.append(OUT - 1 + low.bit_length())
             stream.append(INF)
-            resting = free & ~(awake | to_bottom | leaves)
-            if resting:
-                heappush(heap, OUT - 1 + (resting & -resting).bit_length())
+            idle = free & ~(awake | to_bottom)
+        if idle:  # the lowest idle out-node, at potential 0
+            heappush(heap, shift * size + OUT - 1 + (idle & -idle).bit_length())
         unreached, pending = all_in, 0
         settled = []  # heap keys of the nodes settled before the sink, in order
         touched = []  # out-nodes whose distance or predecessor changed
@@ -285,11 +291,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                     a = du - weight[x]
                     if a + floor[x] > bound:  # every offer lies above the bound
                         cand = 0
-                    elif bound == INF:
-                        # every in-node: bound - a would overflow a float
-                        # on huge user counts
-                        k = len(keys)
-                        cand = below[x] ^ kids[x]
                     else:
                         k = bisect_left(keys, (bound - a + 1) * size)
                         cand = (below[x] ^ kids[x]) & within[k]
@@ -335,7 +336,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                             prev[v] = u
                             best[v - 1] = a
                             heappush(heap, nd * size + v)
-                else:  # the lowest free minimal label's out-node, at potential 0
+                else:  # a free minimal label's out-node, at potential 0
                     du = d - shift
                 nd = du - base[BOT]
                 if nd < dist[BOT] and not to_bottom >> x & 1:
@@ -348,7 +349,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                     j = 0
                     head = bot * size + routed[0]
                     heappush(heap, head)
-                if bottom_left and bot < dist[SINK]:
+                if room and bot < dist[SINK]:
                     dist[SINK] = bot
                     prev[SINK] = u
                     heappush(heap, bot * size)
@@ -382,7 +383,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 offset[v] = weight[v - 1] - base[v]
                 k = bisect_left(keys, offset[v] * size + v)
                 keys.insert(k, offset[v] * size + v)
-                bits.insert(k, in_bit[v])
+                bits.insert(k, 1 << (v - 1))
             lo = min(gone)
             hi = max(bisect_left(keys, offset[v] * size + v) for v in moved)
             within[lo : hi + 2] = accumulate(bits[lo : hi + 1], or_, initial=within[lo])
@@ -395,9 +396,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 break
             u = prev[v]
             if v == SINK:
-                if u == BOT:
-                    bottom_left -= 1
-                else:
+                if u != BOT:
                     unmatched ^= 1 << (u - 1)
             elif v < OUT:  # out(x) -> in(y) gains the unit
                 parent[v - 1] = u - OUT
@@ -408,8 +407,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                     insort(routed, -base[u] * size + u)
             elif u == SRC:
                 x = v - OUT
-                supply[x] -= 1
-                if not supply[x]:
+                if x == r and spare:
+                    spare -= 1
+                else:
                     free ^= 1 << x
                     if below[x]:
                         del offers[bisect_left(offers, -base[v] * size + v)]
@@ -454,6 +454,8 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
         raise ValueError("cannot optimize an empty policy")
     work, top, added = augment_with_maximum(policy)
     links, w, cost = _chain_parents(work)
+    # the flow-cost identity; verify_result checks it against three formulas
+    khat = w * work.count(top) + cost
     pi = _chains_from_parents(work.poset, top, w, links)
     if added:
         chains = tuple(c[1:] if c[0] == top else c for c in pi.chains)
@@ -461,7 +463,7 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
 
     return OptimizationResult(
         partition=pi,
-        khat=issued_secrets(policy, pi),
+        khat=khat,
         width=w,
         flow_cost=cost,
         kmax=max_bundle_size(policy, pi),
@@ -473,7 +475,8 @@ def verify_result(policy: Policy, result: OptimizationResult) -> bool:
 
     Checks partition validity and chain count, the three-way agreement of
     the issued-secret formulas with the reported value, the flow-cost
-    identity khat = width * users(top) + flow_cost, and kmax <= width.
+    identity khat = width * users(top) + flow_cost, and that kmax is the
+    partition's largest bundle and at most the width.
     """
     try:
         khat = issued_secrets(policy, result.partition)
@@ -481,11 +484,12 @@ def verify_result(policy: Policy, result: OptimizationResult) -> bool:
         aug_policy, aug_pi = attach_to_maximum(policy, result.partition)
         tree = issued_secrets_via_tree(aug_policy, aug_pi)
         top_users = aug_policy.count(aug_policy.poset.maximum())
+        kmax = max_bundle_size(policy, result.partition)
     except Exception:
         return False
     return (
         len(result.partition.chains) == result.width
         and khat == bottoms == tree == result.khat
         and result.khat == result.width * top_users + result.flow_cost
-        and result.kmax <= result.width
+        and result.kmax == kmax <= result.width
     )

@@ -236,6 +236,17 @@ class TestAudit:
         monkeypatch.setattr(ces, "derive", derive_refusing_wrongly)
         assert not correctness_audit(demo_unit, part_c, material)
 
+    def test_refused_authorized_pair_detected(self, demo_unit, part_c, material, monkeypatch):
+        real = ces.derive
+
+        def derive_refusing_a(policy, pi, bundle, y, params):
+            if y == "a":
+                raise NotAuthorized("refused")
+            return real(policy, pi, bundle, y, params)
+
+        monkeypatch.setattr(ces, "derive", derive_refusing_a)
+        assert not correctness_audit(demo_unit, part_c, material)
+
 
 class TestNoShortcutStructure:
     def test_reachable_secrets_stay_below_owner(self):

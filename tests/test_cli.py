@@ -201,6 +201,14 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", demo_file, str(part))
         assert code == 2
 
+    def test_empty_label_in_partition_file(self, capsys, demo_file, tmp_path):
+        part = tmp_path / "bad.partition"
+        part.write_text("h>g>e>c>a\nf>>d>b\n")
+        code, out, err = run(capsys, "evaluate", demo_file, str(part))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: empty label in chain\n"
+
     def test_poset_without_maximum(self, capsys, tmp_path):
         # the tree formula must agree even when a synthetic top is needed
         policy = tmp_path / "pair.policy"

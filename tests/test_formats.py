@@ -132,6 +132,24 @@ class TestPartitionParsing:
             parse_partition("g>e>c>a\n>\nh>f>d>b\n", demo_poset)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line", [">>", ">>>"])
+    def test_only_separators_is_an_empty_chain(self, demo_poset, line):
+        with pytest.raises(ParseError, match="^line 1: empty chain$"):
+            parse_partition(line + "\n", demo_poset)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("h>g>e>c>a\nf>>d>b\n", 2),
+            (">h>g>e>c>a\nf>d>b\n", 1),
+            ("h>g>e>c>a\nf>d>b>\n", 2),
+        ],
+    )
+    def test_empty_label_rejected(self, demo_poset, text, line):
+        with pytest.raises(ParseError, match="empty label in chain") as exc:
+            parse_partition(text, demo_poset)
+        assert exc.value.line == line
+
     def test_empty_file_rejected(self, demo_poset):
         with pytest.raises(ParseError):
             parse_partition("# nothing\n", demo_poset)

@@ -206,6 +206,13 @@ class TestVerifyResult:
         res = optimal_partition(demo_unit)
         assert not verify_result(demo_unit, dataclasses.replace(res, kmax=3))
 
+    @pytest.mark.parametrize("kmax", [1, 0])
+    def test_rejects_kmax_below_the_largest_bundle(self, demo_unit, kmax):
+        # the demo's largest bundle is 2, its width
+        res = optimal_partition(demo_unit)
+        assert res.kmax == 2
+        assert not verify_result(demo_unit, dataclasses.replace(res, kmax=kmax))
+
 
 def flow_oracle(policy):
     """optimal_partition's answer computed through the flow network: build,
@@ -530,3 +537,10 @@ class TestKernelWork:
     def test_total_order_pushes(self, monkeypatch):
         # 7 665 before
         assert self.heap_work(monkeypatch, total_order(200, 3, False))[1] <= 0.6 * 7665
+
+    def test_one_idle_entry(self, monkeypatch):
+        # 39 392 and 506 while a search under a zero bound could push a
+        # free minimal label's out-node beside the lowest resting one, for
+        # up to one pop more per search
+        assert self.heap_pops(monkeypatch, fence(250, 3, False)) <= 39200
+        assert self.heap_pops(monkeypatch, total_order(200, 3, False)) <= 480
