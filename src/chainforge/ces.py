@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import EntropyFailure, NotAuthorized, ParseError
-from .policy import ChainPartition, Policy, _require_partition, bundle_labels
+from .policy import ChainPartition, Policy, bundle_labels
 
 _F_PREFIX = b"\x01"
 _H_PREFIX = b"\x02"
@@ -112,7 +112,7 @@ def setup(
     One fresh random secret per chain top; everything else is derived by
     chain walks with F, and keys by H.
     """
-    _require_partition(policy, pi)
+    policy.poset._chain_index(pi.chains)
     secrets: dict[str, bytes] = {}
     for chain in pi.chains:
         top = entropy(params.secret_size)
@@ -159,9 +159,7 @@ def derive(
                              f"expected {params.secret_size} bytes")
     if not p.leq(y, bundle.label):
         raise NotAuthorized(f"{y!r} is not at or below {bundle.label!r}")
-    _require_partition(policy, pi)
-
-    chain = next(c for c in pi.chains if y in c)
+    chain = pi.chains[p._chain_index(pi.chains)[p.index[y]]]
     # the checked chain is top-first: the first bundle label up to y covers y
     pos = chain.index(y)
     start = next((i for i in range(pos + 1) if chain[i] in bundle.secrets), None)

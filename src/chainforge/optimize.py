@@ -458,8 +458,9 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
     khat = w * work.count(top) + cost
     pi = _chains_from_parents(work.poset, top, w, links)
     if added:
-        chains = tuple(c[1:] if c[0] == top else c for c in pi.chains)
-        pi = ChainPartition(tuple(c for c in chains if c))
+        # a synthetic top has w chain children, so it heads the first chain
+        # and never stands alone
+        pi = ChainPartition((pi.chains[0][1:],) + pi.chains[1:])
 
     return OptimizationResult(
         partition=pi,

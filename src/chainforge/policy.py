@@ -17,11 +17,11 @@ plus two deliberately independent recomputations of ``issued_secrets``
 (via the derivation tree, and via chain bottoms). These exist as oracles
 for cross-validation, not as optimizations, and must always agree.
 
-Bundles are read off the poset's bitmasks: each chain's labels form one
-mask, and a chain meets the down-set of x iff that mask shares a bit with
-x's down-set mask. A top-first chain meets a down-set in a suffix, so the
-bundle element is the first label of that suffix. Bundle sizes for all
-labels at once come from one bottom-up pass over the covers instead.
+Every metric first runs the poset's partition check, which also returns
+each label's chain number. A top-first chain meets the down-set of x in a
+suffix, so x's bundle takes from each chain its first label inside x's
+down-set mask. Bundle sizes for all labels at once come from one bottom-up
+pass over the covers instead, seeded with each label's own chain.
 """
 
 from __future__ import annotations
@@ -76,8 +76,10 @@ class ChainPartition:
         if any(not b for b in blocks):
             raise InvalidPartition("empty chain")
         chains = tuple(map(poset.descending, blocks))
-        if poset._partition_fault(chains) is not None:
-            raise InvalidPartition("blocks are not disjoint chains covering the poset")
+        try:
+            poset._chain_index(chains)
+        except InvalidPartition:
+            raise InvalidPartition("blocks are not disjoint chains covering the poset") from None
         return cls(chains)
 
     @property
@@ -98,31 +100,17 @@ class DerivationTree:
     parent: dict[str, str]  # child -> parent
 
 
-def _require_partition(policy: Policy, pi: ChainPartition) -> None:
-    fault = policy.poset._partition_fault(pi.chains)
-    if fault is not None:
-        raise InvalidPartition(fault)
-
-
-def _chain_masks(p: Poset, pi: ChainPartition) -> list[int]:
-    """One label bitmask per chain, in chain order."""
-    index = p.index
-    return [sum(1 << index[z] for z in chain) for chain in pi.chains]
-
-
-def _bundle_sizes(p: Poset, pi: ChainPartition) -> list[int]:
+def _bundle_sizes(p: Poset, chain_index: list[int]) -> list[int]:
     """Bundle size of every label, in declaration order: the number of
     chains that meet its down-set.
 
     Each label gets the mask of the chain ids in its down-set: its own
-    chain's bit ORed with the masks of the labels it covers, in one pass
-    over the covers from the bottom up.
+    chain's bit (``chain_index`` as ``Poset._chain_index`` returns it) ORed
+    with the masks of the labels it covers, in one pass over the covers
+    from the bottom up.
     """
     index = p.index
-    meets = [0] * len(p)
-    for c, chain in enumerate(pi.chains):
-        for z in chain:
-            meets[index[z]] = 1 << c
+    meets = [1 << c for c in chain_index]
     children: list[list[int]] = [[] for _ in meets]
     for lo, hi in p.covers:
         children[index[hi]].append(index[lo])
@@ -158,34 +146,33 @@ def bundle_labels(policy: Policy, x: str, pi: ChainPartition) -> tuple[str, ...]
     One label per chain that intersects the down-set of ``x``; always
     contains ``x`` itself.
     """
-    _require_partition(policy, pi)
     p = policy.poset
-    down = p._down[p._i(x)]
+    p._chain_index(pi.chains)
+    down, index = p._down[p._i(x)], p.index
     out = []
-    for chain, mask in zip(pi.chains, _chain_masks(p, pi)):
-        below = mask & down
-        if below:
-            # the chain's suffix below x starts at its first such label
-            out.append(chain[-below.bit_count()])
+    for chain in pi.chains:
+        # a top-first chain meets the down-set in a suffix: its first label there
+        for z in chain:
+            if down >> index[z] & 1:
+                out.append(z)
+                break
     return p.ordered(out)
 
 
 def max_bundle_size(policy: Policy, pi: ChainPartition) -> int:
-    _require_partition(policy, pi)
-    return max(_bundle_sizes(policy.poset, pi))
+    return max(_bundle_sizes(policy.poset, policy.poset._chain_index(pi.chains)))
 
 
 def total_secrets(policy: Policy, pi: ChainPartition) -> int:
     """Sum of bundle sizes over all labels (user counts ignored)."""
-    _require_partition(policy, pi)
-    return sum(_bundle_sizes(policy.poset, pi))
+    return sum(_bundle_sizes(policy.poset, policy.poset._chain_index(pi.chains)))
 
 
 def issued_secrets(policy: Policy, pi: ChainPartition) -> int:
     """Total secrets issued to users: bundle size weighted by user count."""
-    _require_partition(policy, pi)
     p = policy.poset
-    return sum(policy.count(x) * size for x, size in zip(p.elements, _bundle_sizes(p, pi)))
+    sizes = _bundle_sizes(p, p._chain_index(pi.chains))
+    return sum(policy.count(x) * size for x, size in zip(p.elements, sizes))
 
 
 def derivation_tree(policy: Policy, pi: ChainPartition) -> DerivationTree:
@@ -194,7 +181,7 @@ def derivation_tree(policy: Policy, pi: ChainPartition) -> DerivationTree:
     root = policy.poset.maximum()
     if root is None:
         raise NoMaximum("derivation tree requires a unique maximum element")
-    _require_partition(policy, pi)
+    policy.poset._chain_index(pi.chains)
     parent: dict[str, str] = {}
     for chain in pi.chains:
         for hi, lo in zip(chain, chain[1:]):
@@ -262,8 +249,8 @@ def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:
 def issued_secrets_via_bottoms(policy: Policy, pi: ChainPartition) -> int:
     """Recompute ``issued_secrets`` from chain bottoms alone: each bottom is
     paid for by every user at or above it."""
-    _require_partition(policy, pi)
     p = policy.poset
+    p._chain_index(pi.chains)
     return sum(policy.count(x) for b in pi.bottoms for x in p.up_set(b))
 
 

@@ -22,6 +22,7 @@ from .errors import (
     CycleDetected,
     DuplicateLabel,
     InvalidLabel,
+    InvalidPartition,
     RedundantCover,
     UnknownLabel,
 )
@@ -249,30 +250,36 @@ class Poset:
         A block may list its labels in any order, and empty blocks are
         ignored. An unknown label in any block is an error, not a False.
         """
-        return self._partition_fault([c for c in map(self.descending, blocks) if c]) is None
+        try:
+            self._chain_index([c for c in map(self.descending, blocks) if c])
+        except InvalidPartition:
+            return False
+        return True
 
-    def _partition_fault(self, chains: Sequence[Sequence[str]]) -> str | None:
-        """Why chains given top-first do not partition the poset, or None.
+    def _chain_index(self, chains: Sequence[Sequence[str]]) -> list[int]:
+        """The chain number of every label, in declaration order, if chains
+        given top-first partition the poset.
 
-        The first fault in this order: chain by chain, an empty chain or a
-        label not strictly below the one before it (tested as ``lt`` does,
-        the upper label looked up first); then an unknown label anywhere
-        raises ``UnknownLabel``; last, a label in two chains or in none.
+        Otherwise raises ``InvalidPartition`` for the first fault in this
+        order: chain by chain, an empty chain or a label not strictly below
+        the one before it (tested as ``lt`` does, the upper label looked up
+        first); then an unknown label anywhere raises ``UnknownLabel``;
+        last, a label in two chains or in none.
         """
         for chain in chains:
             if not chain:
-                return "empty chain"
+                raise InvalidPartition("empty chain")
             for hi, lo in zip(chain, chain[1:]):
                 if lo == hi or not self._down[self._i(hi)] >> self._i(lo) & 1:
-                    return f"chain not in descending order at {hi!r} > {lo!r}"
-        seen = 0
-        for chain in chains:
+                    raise InvalidPartition(f"chain not in descending order at {hi!r} > {lo!r}")
+        chain_of = [-1] * len(self)
+        for c, chain in enumerate(chains):
             for lab in chain:
-                seen |= 1 << self._i(lab)
+                chain_of[self._i(lab)] = c
         # descending chains repeat no label: len(self) labels in all that cover are disjoint
-        if sum(map(len, chains)) != len(self) or seen != (1 << len(self)) - 1:
-            return "chains are not disjoint or do not cover the poset"
-        return None
+        if sum(map(len, chains)) != len(self) or -1 in chain_of:
+            raise InvalidPartition("chains are not disjoint or do not cover the poset")
+        return chain_of
 
     def descending(self, labels: Iterable[str]) -> tuple[str, ...]:
         """Sort the labels of a chain from top to bottom."""

@@ -1,12 +1,16 @@
 """Differential tests of the one chain-partition check.
 
-``Poset._partition_fault`` decides for ``_require_partition``,
+``Poset._chain_index`` decides for the metrics, ``setup``, ``derive``,
 ``Poset.is_chain_partition`` and ``ChainPartition.from_blocks`` whether
-chains partition a poset, and ``derive`` reads the covering secret off the
-checked chain. The reference functions below are the earlier, separate
-implementations of those four, kept verbatim (each calls the reference
-copies of the others). Every generated input, valid or faulty, must give
-the same result, exception class and message under both.
+chains partition a poset, and returns each label's chain number. The
+bundles, bundle sizes and ``derive`` read that number instead of walking
+the chains again. The reference functions below are earlier, separate
+implementations, kept verbatim (each calls the reference copies of the
+others): the checks before they shared one method, ``derive``'s chain
+search, and the chain-mask bundles and chain-walk bundle sizes from before
+the check returned the chain numbers. Every generated input, valid or
+faulty, must give the same result, exception class and message under both.
+The budget tests count how often one operation runs the check.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from chainforge import ChainPartition, Policy, Poset
 from chainforge.ces import SchemeParams, derive, issue_bundle, seeded_entropy, setup
 from chainforge.errors import InvalidPartition, NotAuthorized, ParseError
 from chainforge.gen import random_chain_partition, random_policy
-from chainforge.policy import _require_partition
+from chainforge.optimize import optimal_partition, verify_result
+from chainforge.policy import bundle_labels, issued_secrets, max_bundle_size, total_secrets
 
 DENSITIES = (0.0, 0.15, 0.3, 0.5, 0.8, 1.0)
 UNKNOWN = ("zz", "x99", "q")
@@ -92,6 +97,66 @@ def ref_derive(policy, pi, bundle, y, params=SchemeParams()):
     for _ in range(chain.index(y) - start):
         secret = params.apply_f(secret)
     return params.apply_h(secret)
+
+
+def ref_chain_index(policy, pi):
+    ref_require_partition(policy, pi)
+    chain_of = {lab: c for c, chain in enumerate(pi.chains) for lab in chain}
+    return [chain_of[x] for x in policy.poset.elements]
+
+
+# -- references: bundles from chain masks, sizes from a chain walk ----------
+
+
+def ref_chain_masks(p, pi):
+    """One label bitmask per chain, in chain order."""
+    index = p.index
+    return [sum(1 << index[z] for z in chain) for chain in pi.chains]
+
+
+def ref_bundle_sizes(p, pi):
+    index = p.index
+    meets = [0] * len(p)
+    for c, chain in enumerate(pi.chains):
+        for z in chain:
+            meets[index[z]] = 1 << c
+    children = [[] for _ in meets]
+    for lo, hi in p.covers:
+        children[index[hi]].append(index[lo])
+    for x in p.linear_extension():
+        i = index[x]
+        for c in children[i]:
+            meets[i] |= meets[c]
+    return [m.bit_count() for m in meets]
+
+
+def ref_bundle_labels(policy, x, pi):
+    ref_require_partition(policy, pi)
+    p = policy.poset
+    down = p._down[p._i(x)]
+    out = []
+    for chain, mask in zip(pi.chains, ref_chain_masks(p, pi)):
+        below = mask & down
+        if below:
+            # the chain's suffix below x starts at its first such label
+            out.append(chain[-below.bit_count()])
+    return p.ordered(out)
+
+
+def ref_max_bundle_size(policy, pi):
+    ref_require_partition(policy, pi)
+    return max(ref_bundle_sizes(policy.poset, pi))
+
+
+def ref_total_secrets(policy, pi):
+    ref_require_partition(policy, pi)
+    return sum(ref_bundle_sizes(policy.poset, pi))
+
+
+def ref_issued_secrets(policy, pi):
+    ref_require_partition(policy, pi)
+    p = policy.poset
+    return sum(policy.count(x) * size for x, size in zip(p.elements, ref_bundle_sizes(p, pi)))
 
 
 # -- generated inputs -------------------------------------------------------
@@ -213,16 +278,25 @@ def verdict(got):
 
 
 def compare(poset, chains):
-    """Assert that each check gives its reference's outcome on the chains,
-    and yield (check, verdict) pairs."""
-    policy, pi = Policy(poset), ChainPartition(tuple(chains))
-    for name, fn, args, ref, ref_args in (
-        ("require", _require_partition, (policy, pi), ref_require_partition, (policy, pi)),
+    """Assert that each check and metric gives its reference's outcome on
+    the chains, and yield (name, verdict) pairs. The bundle of every label
+    and of one unknown label is compared."""
+    policy = Policy(poset, {x: k % 3 for k, x in enumerate(poset.elements)})
+    pi = ChainPartition(tuple(chains))
+    rows = [
+        ("require", poset._chain_index, (chains,), ref_chain_index, (policy, pi)),
         ("is_chain_partition", poset.is_chain_partition, (chains,),
          ref_is_chain_partition, (poset, chains)),
         ("from_blocks", ChainPartition.from_blocks, (poset, chains),
          ref_from_blocks, (ChainPartition, poset, chains)),
-    ):
+        ("max_bundle_size", max_bundle_size, (policy, pi), ref_max_bundle_size, (policy, pi)),
+        ("total_secrets", total_secrets, (policy, pi), ref_total_secrets, (policy, pi)),
+        ("issued_secrets", issued_secrets, (policy, pi), ref_issued_secrets, (policy, pi)),
+    ]
+    for x in poset.elements + UNKNOWN[:1]:
+        rows.append(("bundle_labels", bundle_labels, (policy, x, pi),
+                     ref_bundle_labels, (policy, x, pi)))
+    for name, fn, args, ref, ref_args in rows:
         got = outcome(fn, *args)
         assert got == outcome(ref, *ref_args), (name, chains)
         yield name, verdict(got)
@@ -236,8 +310,12 @@ class TestAgainstReferences:
         # every verdict of every check is reached often enough to compare
         disjoint = "chains are not disjoint or do not cover the poset"
         assert set(verdicts) == {
-            ("require", "ok"), ("require", "UnknownLabel"), ("require", "empty chain"),
-            ("require", "chain not in descending order"), ("require", disjoint),
+            (name, result)
+            for name in ("require", "bundle_labels", "max_bundle_size", "total_secrets",
+                         "issued_secrets")
+            for result in ("ok", "UnknownLabel", "empty chain",
+                           "chain not in descending order", disjoint)
+        } | {
             ("is_chain_partition", True), ("is_chain_partition", False),
             ("is_chain_partition", "UnknownLabel"),
             ("from_blocks", "ok"), ("from_blocks", "UnknownLabel"),
@@ -252,12 +330,14 @@ class TestAgainstReferences:
         chains = [("zz", "zz"), ("b", "a")]
         assert ("require", "chain not in descending order") in set(compare(p, chains))
         with pytest.raises(InvalidPartition, match="^chain not in descending order at 'zz' > 'zz'$"):
-            _require_partition(Policy(p), ChainPartition(tuple(chains)))
+            p._chain_index(chains)
 
     def test_empty_poset(self):
         p = Poset([])
         assert dict(compare(p, [])) == {
             "require": "ok", "is_chain_partition": True, "from_blocks": "ok",
+            "bundle_labels": "UnknownLabel", "max_bundle_size": "ValueError",
+            "total_secrets": "ok", "issued_secrets": "ok",
         }
         assert dict(compare(p, [()]))["require"] == "empty chain"
         assert dict(compare(p, [("zz",)]))["require"] == "UnknownLabel"
@@ -286,3 +366,44 @@ class TestAgainstReferences:
                         assert got == outcome(ref_derive, policy, pi, crafted, y, params)
                         compared[got[0]] += 1
         assert compared["ok"] >= 500 and compared["NotAuthorized"] >= 500, compared
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Counts the calls of ``Poset._chain_index`` under ``checks["n"]``."""
+    calls = Counter()
+    check = Poset._chain_index
+
+    def counted(self, chains):
+        calls["n"] += 1
+        return check(self, chains)
+
+    monkeypatch.setattr(Poset, "_chain_index", counted)
+    return calls
+
+
+class TestCheckBudget:
+    @pytest.mark.parametrize("policy, has_maximum", [
+        (Policy.unit(Poset(["lo", "mid", "hi"], [("lo", "mid"), ("mid", "hi")])), True),
+        (random_policy(40, 0.15, seed=1311), False),  # gets a synthetic top
+    ])
+    def test_partition_op(self, checks, policy, has_maximum):
+        assert (policy.poset.maximum() is not None) == has_maximum
+        result = optimal_partition(policy)
+        assert verify_result(policy, result)
+        total_secrets(policy, result.partition)
+        assert checks["n"] <= 6
+
+    def test_issue_bundle_and_derive(self, checks):
+        policy = random_policy(40, 0.15, seed=1311)
+        p = policy.poset
+        pi = random_chain_partition(p, random.Random(1311))
+        material = setup(policy, pi, SchemeParams(), seeded_entropy(b"budget"))
+        for x in p.elements:
+            checks.clear()
+            bundle = issue_bundle(material, policy, x)
+            assert checks["n"] == 1
+            for y in p.down_set(x):
+                checks.clear()
+                assert derive(policy, pi, bundle, y) == material.keys[y]
+                assert checks["n"] == 1
