@@ -1,10 +1,10 @@
-"""Seeded random policies and partitions for testing and benchmarks."""
+"""Seeded random policies for testing and benchmarks."""
 
 from __future__ import annotations
 
 import random
 
-from .policy import ChainPartition, Policy
+from .policy import Policy
 from .poset import Poset
 
 
@@ -51,21 +51,3 @@ def random_policy(n: int, density: float, seed: int) -> Policy:
 
     counts = {lab: rng.randint(0, 5) for lab in labels}
     return Policy(Poset(labels, covers), counts)
-
-
-def random_chain_partition(poset: Poset, rng: random.Random) -> ChainPartition:
-    """A haphazard but always valid chain partition.
-
-    Places elements in reverse linear-extension order; each element either
-    extends a compatible chain at its bottom or opens a new chain.
-    """
-    chains: list[list[str]] = []
-    for x in reversed(poset.linear_extension()):
-        options: list[list[str] | None] = [c for c in chains if poset.lt(x, c[-1])]
-        options.append(None)
-        pick = rng.choice(options)
-        if pick is None:
-            chains.append([x])
-        else:
-            pick.append(x)
-    return ChainPartition(tuple(tuple(c) for c in chains))

@@ -16,7 +16,7 @@ is tested against; this module holds only the production path.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
@@ -37,6 +37,7 @@ from .policy import (
     ChainPartition,
     Policy,
     _chains_from_parents,
+    _users_in,
     augment_with_maximum,
     issued_secrets,
     issued_secrets_via_bottoms,
@@ -53,6 +54,24 @@ class OptimizationResult:
     width: int
     flow_cost: int
     kmax: int
+
+
+def _reorder(
+    keys: list[int], bits: list[int], within: list[int], old: list[int], new: list[int], n: int
+) -> None:
+    """Move the keys ``old`` to ``new`` in a sorted index of keys
+    rank * n + id, with each key's id bit in ``bits`` and the prefix masks
+    ``within``: one re-sort of the segment they span, one rebuild of its
+    masks."""
+    lo = bisect_left(keys, min(min(old), min(new)))
+    hi = bisect_right(keys, max(max(old), max(new)))
+    gone = set(old)
+    seg = [k for k in keys[lo:hi] if k not in gone]
+    seg += new
+    seg.sort()
+    keys[lo:hi] = seg
+    bits[lo:hi] = [1 << k % n for k in seg]
+    within[lo : hi + 1] = accumulate(bits[lo:hi], or_, initial=within[lo])
 
 
 def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
@@ -80,74 +99,85 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     moves by the sink's distance, which is the new shift; only the nodes
     settled closer correct their base. The state that depends on the
     potentials persists across searches and is repaired for those nodes
-    only: the free out-nodes' source offers and the out-nodes routed to the
-    bottom node, each kept as one sorted key list, and the in-nodes sorted
-    by b(y) = W(y) - base(in y), with prefix masks.
+    only: the in-nodes sorted by b(y) = W(y) - base(in y), with prefix
+    masks, repaired in one re-sort per search, and the out-nodes routed to
+    the bottom node, one sorted key list, whose corrected entries are moved
+    one at a time.
+
+    Free out-nodes, those with a unit left on their source edge, all sit
+    at potential 0. One other than r's has no chain child and is not
+    routed to the bottom node, so its one way in is its source edge, of
+    cost 0, while no distance is below 0. r's is reached from the source
+    at that same least distance, first, so no other edge becomes its
+    predecessor either. So every search reaches every free out-node at
+    shifted distance shift, from the source, and none is ever corrected:
+    its base is set to -shift when its unit is used, and until then its
+    distance is held at 0, at or below shift, which no offer beats.
 
     An out-node x settled at distance d offers each in-node y below it
     a + b(y), with a = d + base(out x) - W(x), so its offers are one mask
     operation on x's down-set: in-nodes not yet reached take it, reached
-    ones only if a is below their best offer so far. Offers above a bound
-    on the sink's distance are dropped: such a node is never settled
-    before the sink, and its potential moves by the sink's distance either
-    way. A search's bound opens at 0 while the bottom node has room and a
-    free out-node is not routed to it, as the path through them costs 0,
-    and otherwise at 1 + sum W(y): path costs are nonnegative and add up
-    to the flow's cost, which is at most sum W(y), since a link x -> y
-    costs W(y) - W(x). The in-nodes sorted by b(y) turn the bound into one
-    more mask. An offer exactly on the bound is still made: until the sink
-    is pushed, an in-node on the bound may pop first and become the sink's
-    predecessor. An unmatched in-node leads straight to the sink, so it is
-    never settled closer than the sink and its base stays 0: x's offer to
-    it, a + W(y), bounds the sink's distance. So before x offers, the
-    bound is lowered to x's least offer to an unmatched in-node y, found
-    by a search down the prefix masks, and x's offers after y's in key
-    order are cut: y pops before them and pushes the sink ahead of them.
-    None of the offers x then makes could lower the bound further.
+    ones only if a is below their best offer so far. Offers are cut by a
+    bound on the sink, kept as an in-node key (distance) * n + y in the
+    heap's order: an offer after it is never settled before the sink, and
+    its node's potential moves by the sink's distance either way. A
+    search's bound opens at distance 0, any y, while the bottom node has
+    room and a free out-node is not routed to it, as the path through them
+    costs 0 and the sink is pushed only when the bottom node, the last at
+    that distance, pops. Otherwise it opens at distance 1 + sum W(y), any
+    y: path costs are nonnegative and add up to the flow's cost, which is
+    at most sum W(y), since a link x -> y costs W(y) - W(x). The in-nodes
+    sorted by b(y) * n + y turn the bound into one more mask. An unmatched
+    in-node leads straight to the sink, so it is never settled closer than
+    the sink and its base stays 0; it pushes the sink at its own distance
+    when it pops, ahead of every later key. So before x offers, the bound
+    is lowered to x's least offer to an unmatched in-node, found by a
+    search down the prefix masks, and x's offers after it are cut. None of
+    the offers x then makes could lower the bound further.
 
-    Each out-node also keeps a floor, a lower bound on b(y) over the
-    in-nodes it may still offer to. It stays valid because a settled
+    Each out-node also keeps a floor, a lower bound on b(y) * n + y over
+    the in-nodes it may still offer to. It stays valid because a settled
     in-node's b(y) only grows; it comes down when a unit is given back and
     goes up when a search finds no offer under the bound. An out-node
-    whose a + floor lies above the bound offers nothing and skips the mask
-    work.
+    whose a * n + floor lies above the bound offers nothing and
+    skips the mask work. A free out-node has a = -W(x), so it offers
+    something only if floor(x) - W(x) * n is at most the bound: the keen
+    index holds the out-nodes of non-minimal labels sorted by that, with
+    prefix masks, and keen(bound) is its prefix up to the bound.
 
-    A free out-node whose one move is the bottom node's relaxation is
-    idle: a minimal label's, and under a zero bound one that is not awake
-    (its floor exceeds W(x), so it offers nothing under the bound) and not
-    routed to the bottom node. Idle out-nodes sit at potential 0 and are
-    not read from the source offers; they all make the same relaxation,
-    so one heap entry, the lowest, stands for them. A routed minimal
-    label's out-node is a dead end whose potential is never read.
+    The free out-nodes are not pushed but read in id order, at shift, as
+    a stream merged with the heap in key order: those in keen(bound), cut
+    again whenever the bound falls, and the lowest one not routed to the
+    bottom node, whose relaxation of the bottom node is the first; any
+    other would relax it to the same distance later, and do nothing else.
+    A free out-node's floor rises only when it is read, and it is
+    re-placed in the keen order after the search. A give-back lowers the
+    floor of an out-node entered from an in-node, never of a free one, so
+    the keen order needs no other repair.
 
-    The source offers are not copied into the heap but read from their
-    sorted list as a second stream, merged with the heap in the same
-    (distance, id) order. The bottom node's offers to the out-nodes routed
-    to it are a third stream: sorted by -base, they come in heap-key order
-    once the bottom node is settled, and only the next one waits in the
-    heap. An offer read after the sink changes nothing, but ties fall as
-    if every offer had been pushed at once: a stream entry settles its
-    out-node only if it beats the out-node's distance, and once the bottom
-    node is settled an in-node's offer to a routed out-node must also beat
-    the bottom node's.
+    The bottom node's offers to the out-nodes routed to it are a third
+    stream: sorted by -base, they come in heap-key order once the bottom
+    node is settled, and only the next one that beats its out-node's
+    distance waits in the heap. r's out-node joins them when its last
+    unit is used; until then no offer beats its source edge. An offer
+    read after the sink changes nothing, but ties fall as if every offer
+    had been pushed at once: a stream entry settles its out-node only if
+    it beats the out-node's distance, and once the bottom node is settled
+    an in-node's offer to a routed out-node must also beat the bottom
+    node's.
     """
     p = work.poset
     n = len(p)
     r = p.index[p.maximum()]
     w = p.width()
-    by_count: dict[int, int] = {}  # user count -> the labels that have it
-    for i, x in enumerate(p.elements):
-        c = work.count(x)
-        if c:
-            by_count[c] = by_count.get(c, 0) | 1 << i
-    weight = [sum(c * (up & m).bit_count() for c, m in by_count.items()) for up in p._up]
+    users_in = _users_in(work)
+    weight = [users_in(up) for up in p._up]
     below = [down ^ 1 << i for i, down in enumerate(p._down)]
 
     # build_flow_network's node order with the sink moved first; in(y) is
     # y + 1 and out(x) is OUT + x for declaration indices x, y (in(r) is unused)
     SINK, OUT, BOT, SRC = 0, n + 1, 2 * n + 1, 2 * n + 2
     size = 2 * n + 3
-    leaves = sum(1 << x for x in range(n) if not below[x])
     parent = [r] * n  # chain parent of every matched in-node
     kids = [0] * n  # in-nodes that out(x) sends its flow to
     # out-nodes with a unit left on their source edge: one each, and out(r)
@@ -159,200 +189,206 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     # out-nodes that send their unit to the bottom node, which has room for
     # w units and never gets one back from the sink
     to_bottom = 0
-    # a bound above every augmenting path's cost, and above 0
-    top_bound = sum(weight) + 1
+    # bounds as in-node keys: above every augmenting path's cost, or at 0
+    top_bound = (sum(weight) + 2) * n - 1
+    zero_bound = n - 1
     INF = float("inf")
     heappush, heappop = heapq.heappush, heapq.heappop
 
     # the potential of node v is base[v] + shift; the sink's base stays 0
-    # (it is settled at the sink's distance) and a free minimal label's
-    # out-node has potential 0, so neither is kept
+    # (it is settled at the sink's distance), and a free out-node's is
+    # not kept
     base = [0] * size
     shift = 0
-    # the source offers of the free out-nodes of non-minimal labels, as
-    # sorted heap keys (shifted distance -base[v], node id)
-    offers = [OUT + x for x in range(n) if below[x]]
-    # shifted distances and predecessors; between searches an out-node
-    # holds its source offer and the source
+    # shifted distances and predecessors; a free out-node holds 0 and the
+    # source
     dist: list[float] = [INF] * size
-    for v in offers:
-        dist[v] = 0
-    offers.append(INF)  # an end mark: a search reads the offers up to it
+    dist[OUT:BOT] = [0] * n
     prev = [SRC] * size
-    # the out-nodes of non-minimal labels routed to the bottom node, as
-    # sorted keys (-base[v], node id): the bottom node settled at du offers
-    # them du - base[v] in this order
+    # the out-nodes of non-minimal labels routed to the bottom node, but
+    # not free, as sorted keys (-base[v], node id): the bottom node settled
+    # at du offers them du - base[v] in this order
     routed: list[int] = []
-    # the in-nodes as sorted keys (b(y), node id), their bits and the
-    # prefix masks: within[k] holds the first k of them
+    # the in-nodes as sorted keys (b(y), y), their bits and the prefix
+    # masks: within[k] holds the first k of them
     offset = [0] + weight  # b(y) by in-node id
-    keys = sorted(y + 1 + weight[y] * size for y in range(n) if y != r)
-    bits = [1 << (k % size - 1) for k in keys]
+    keys = sorted(weight[y] * n + y for y in range(n) if y != r)
+    bits = [1 << k % n for k in keys]
     within = list(accumulate(bits, or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
-    # floor[x] <= b(y) for every in-node y in below[x] ^ kids[x]. At first
-    # b(y) = W(y), least on a label that x covers, as W only grows downwards
+    # floor[x] <= b(y) * n + y for every in-node y in below[x] ^ kids[x]: at
+    # first the least key in below[x], found by a search up the prefix masks
     floor: list[float] = [INF] * n
-    for lo, hi in p.covers:
-        x = p.index[hi]
-        floor[x] = min(floor[x], weight[p.index[lo]])
-    # the out-nodes whose floor is at most W(x): the others rest through a
-    # search under a zero bound
-    awake = sum(1 << x for x in range(n) if floor[x] <= weight[x])
+    for x, m in enumerate(below):
+        if m:
+            lo, hi = 1, n - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if within[mid] & m:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            floor[x] = keys[hi - 1]
+
+    def keen_key(x: int) -> int:
+        return (floor[x] - weight[x] * n) * n + x
+
+    # the keen index: the out-nodes of non-minimal labels as sorted keys
+    # (floor[x] - W(x) * n, x), their bits and prefix masks
+    keen = sorted(keen_key(x) for x in range(n) if below[x])
+    keen_bits = [1 << k % n for k in keen]
+    keen_within = list(accumulate(keen_bits, or_, initial=0))
 
     for _ in range(n - 1 + w):
         # a bound on the sink's shifted distance, which is its true one as
         # its base is 0: the path source -> out(x) -> bottom -> sink costs 0
         room = to_bottom.bit_count() < w
-        bound = 0 if room and free & ~to_bottom else top_bound
-        heap = [INF]  # an end mark, like the offers'
-        if bound:
-            stream = offers
-            idle = free & leaves
-        else:
-            # the sink's distance never falls and is 0 here, so no earlier
-            # search settled a node closer than the sink and no base has
-            # moved: every source offer is 0, a = -W(x), and an out-node
-            # that is not awake has no offer under the bound. Only the
-            # awake ones are read
-            stream = []
-            left = free & awake
-            while left:
-                low = left & -left
-                left ^= low
-                stream.append(OUT - 1 + low.bit_length())
-            stream.append(INF)
-            idle = free & ~(awake | to_bottom)
-        if idle:  # the lowest idle out-node, at potential 0
-            heappush(heap, shift * size + OUT - 1 + (idle & -idle).bit_length())
+        bound = zero_bound if room and free & ~to_bottom else top_bound
+        heap = [INF]  # an end mark: nothing is pushed at INF
+        # the stream of free out-nodes still to read, at heap keys at + id
+        at = shift * size
+        idle = free & ~to_bottom
+        idle &= -idle
+        queue = free & keen_within[bisect_left(keen, (bound + 1) * n)] | idle
+        nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
         unreached, pending = all_in, 0
         settled = []  # heap keys of the nodes settled before the sink, in order
         touched = []  # out-nodes whose distance or predecessor changed
-        i = 0  # the next source offer
+        lifted, old_keen = [], []  # free out-nodes whose floor rose, their old keen keys
         bot = INF  # d + base of the bottom node once it is settled
         # the heap key of the bottom node's queued offer; -1 would be the
         # source's, which is never queued
         head = -1
 
         while True:
-            key = stream[i]
+            key = nxt
             if heap[0] < key:
                 key = heappop(heap)
+                d, u = divmod(key, size)
+                if u == SINK:
+                    break
+                if u < OUT:  # in(y)
+                    y = u - 1
+                    bit = 1 << y
+                    if not pending & bit:  # settled already: a stale entry
+                        continue
+                    pending ^= bit
+                    settled.append(key)
+                    du = d + base[u]
+                    if not unmatched & bit:
+                        x = parent[y]
+                        v = OUT + x
+                        du += weight[x] - weight[y]
+                        nd = du - base[v]
+                        # a routed out-node keeps the bottom node's offer on a tie
+                        if nd < dist[v] and (du < bot or not to_bottom >> x & 1):
+                            dist[v] = nd
+                            prev[v] = u
+                            touched.append(v)
+                            heappush(heap, nd * size + v)
+                    elif du < dist[SINK]:
+                        dist[SINK] = du
+                        prev[SINK] = u
+                        heappush(heap, du * size)
+                    continue
+                if key == head:  # the bottom node's offer: queue the next one
+                    head = -1
+                    for j in range(j + 1, len(routed)):
+                        v = routed[j] % size
+                        if bot - base[v] < dist[v]:
+                            head = bot * size + routed[j]
+                            heappush(heap, head)
+                            break
+                    if d >= dist[u]:
+                        continue
+                    dist[u] = d
+                    prev[u] = BOT
+                    touched.append(u)
+                elif d > dist[u]:
+                    continue
+                settled.append(key)
+                if u == BOT:
+                    bot = d + base[BOT]
+                    # queue its first offer that beats the out-node's distance
+                    for j in range(len(routed)):
+                        v = routed[j] % size
+                        if bot - base[v] < dist[v]:
+                            head = bot * size + routed[j]
+                            heappush(heap, head)
+                            break
+                    if room and bot < dist[SINK]:
+                        dist[SINK] = bot
+                        prev[SINK] = u
+                        heappush(heap, bot * size)
+                    continue
+                du = d + base[u]
             elif key == INF:
                 raise InternalError("the flow network's sink is unreachable")
-            else:
-                i += 1
-            d, u = divmod(key, size)
-            if u == SINK:
-                break
-            if u < OUT:  # in(y)
-                y = u - 1
-                bit = 1 << y
-                if not pending & bit:  # settled already: a stale entry
-                    continue
-                pending ^= bit
-                settled.append(key)
-                du = d + base[u]
-                if not unmatched & bit:
-                    x = parent[y]
-                    v = OUT + x
-                    du += weight[x] - weight[y]
-                    nd = du - base[v]
-                    # a routed out-node keeps the bottom node's offer on a tie
-                    if nd < dist[v] and (du < bot or not to_bottom >> x & 1):
-                        dist[v] = nd
-                        prev[v] = u
-                        touched.append(v)
-                        heappush(heap, nd * size + v)
-                elif du < dist[SINK]:
-                    dist[SINK] = du
-                    prev[SINK] = u
-                    heappush(heap, du * size)
-                continue
-            if key == head:  # the bottom node's offer: queue the next one
-                j += 1
-                if j < len(routed):
-                    head = bot * size + routed[j]
-                    heappush(heap, head)
+            else:  # a free out-node, from its source edge
+                u = key - at
+                queue ^= 1 << (u - OUT)
+                nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
+                du = 0
+
+            # out(x)
+            x = u - OUT
+            if below[x]:
+                a = du - weight[x]
+                an = a * n
+                if an + floor[x] > bound:  # every offer lies above the bound
+                    cand = 0
                 else:
-                    head = -1
-                if d >= dist[u]:
-                    continue
-                dist[u] = d
-                prev[u] = BOT
-                touched.append(u)
-            elif d > dist[u]:
-                continue
-            settled.append(key)
-            if u < BOT:  # out(x)
-                x = u - OUT
-                if below[x]:
-                    du = d + base[u]
-                    a = du - weight[x]
-                    if a + floor[x] > bound:  # every offer lies above the bound
-                        cand = 0
-                    else:
-                        k = bisect_left(keys, (bound - a + 1) * size)
-                        cand = (below[x] ^ kids[x]) & within[k]
-                        if not cand:
-                            # d <= bound and base <= 0, so the floor now
-                            # exceeds W(x)
-                            floor[x] = bound - a + 1
-                            awake &= ~(1 << x)
-                    if cand:
-                        free_in = cand & unmatched
-                        if free_in:
-                            # an unmatched in-node's base is 0, so the cheapest
-                            # offer to one bounds the sink: find the least hi
-                            # whose prefix holds one, searching down from k.
-                            # The sink is pushed when that in-node pops, so
-                            # every offer after it in key order is cut
-                            lo, hi, step = 1, k, 1
-                            while lo < hi:
-                                mid = (lo + hi) // 2
-                                if hi - step > mid:
-                                    mid = hi - step
-                                if within[mid] & free_in:
-                                    hi = mid
-                                    step *= 2
-                                else:
-                                    lo = mid + 1
-                            bound = a + keys[hi - 1] // size
-                            cand &= within[hi]
-                        better = cand & unreached
-                        old = cand & pending
-                        unreached ^= better
-                        while old:
-                            low = old & -old
-                            old ^= low
-                            if a < best[low.bit_length() - 1]:
-                                better |= low
-                        pending |= better
-                        while better:
-                            low = better & -better
-                            better ^= low
-                            v = low.bit_length()
-                            nd = a + offset[v]
-                            prev[v] = u
-                            best[v - 1] = a
-                            heappush(heap, nd * size + v)
-                else:  # a free minimal label's out-node, at potential 0
-                    du = d - shift
-                nd = du - base[BOT]
-                if nd < dist[BOT] and not to_bottom >> x & 1:
-                    dist[BOT] = nd
-                    prev[BOT] = u
-                    heappush(heap, nd * size + BOT)
-            else:  # the bottom node
-                bot = d + base[BOT]
-                if routed:
-                    j = 0
-                    head = bot * size + routed[0]
-                    heappush(heap, head)
-                if room and bot < dist[SINK]:
-                    dist[SINK] = bot
-                    prev[SINK] = u
-                    heappush(heap, bot * size)
+                    k = bisect_right(keys, bound - an)
+                    cand = (below[x] ^ kids[x]) & within[k]
+                    if not cand:
+                        if free >> x & 1:
+                            lifted.append(x)
+                            old_keen.append(keen_key(x))
+                        floor[x] = bound - an + 1
+                if cand:
+                    free_in = cand & unmatched
+                    if free_in:
+                        # an unmatched in-node's base is 0, so the cheapest
+                        # offer to one bounds the sink: find the least hi
+                        # whose prefix holds one, searching down from k.
+                        # The sink is pushed when that in-node pops, so
+                        # every offer after it in key order is cut
+                        lo, hi, step = 1, k, 1
+                        while lo < hi:
+                            mid = (lo + hi) // 2
+                            if hi - step > mid:
+                                mid = hi - step
+                            if within[mid] & free_in:
+                                hi = mid
+                                step *= 2
+                            else:
+                                lo = mid + 1
+                        bound = an + keys[hi - 1]
+                        cand &= within[hi]
+                        queue &= keen_within[bisect_left(keen, (bound + 1) * n)] | idle
+                        nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
+                    better = cand & unreached
+                    old = cand & pending
+                    unreached ^= better
+                    while old:
+                        low = old & -old
+                        old ^= low
+                        if a < best[low.bit_length() - 1]:
+                            better |= low
+                    pending |= better
+                    while better:
+                        low = better & -better
+                        better ^= low
+                        v = low.bit_length()
+                        nd = a + offset[v]
+                        prev[v] = u
+                        best[v - 1] = a
+                        heappush(heap, nd * size + v)
+            nd = du - base[BOT]
+            if nd < dist[BOT] and not to_bottom >> x & 1:
+                dist[BOT] = nd
+                prev[BOT] = u
+                heappush(heap, nd * size + BOT)
 
         # correct the nodes settled closer than the sink:
         # base += dist - dist(sink)
@@ -361,32 +397,18 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
             t, v = divmod(key, size)
             if v < OUT:
                 moved.append(v)
-            elif v < BOT:
-                if not below[v - OUT]:  # a minimal label's: its potential is not kept
-                    continue
-                touched.append(v)
-                if free >> (v - OUT) & 1:  # re-key its source offer
-                    del offers[bisect_left(offers, -base[v] * size + v)]
-                    insort(offers, (d - t - base[v]) * size + v)
-                if to_bottom >> (v - OUT) & 1:  # and its place in the routed ones
-                    del routed[bisect_left(routed, -base[v] * size + v)]
-                    insort(routed, (d - t - base[v]) * size + v)
+            elif v < BOT and to_bottom >> (v - OUT) & 1:  # re-key its place in the routed ones
+                del routed[bisect_left(routed, -base[v] * size + v)]
+                insort(routed, (d - t - base[v]) * size + v)
             base[v] += t - d
         if moved:
-            # a settled in-node's b(y) only grows: the prefix masks change
-            # from the first position one left to the last one entered
-            gone = [bisect_left(keys, offset[v] * size + v) for v in moved]
-            for k in sorted(gone, reverse=True):
-                del keys[k]
-                del bits[k]
+            # a settled in-node's b(y) only grows
+            old = [offset[v] * n + v - 1 for v in moved]
             for v in moved:
                 offset[v] = weight[v - 1] - base[v]
-                k = bisect_left(keys, offset[v] * size + v)
-                keys.insert(k, offset[v] * size + v)
-                bits.insert(k, 1 << (v - 1))
-            lo = min(gone)
-            hi = max(bisect_left(keys, offset[v] * size + v) for v in moved)
-            within[lo : hi + 2] = accumulate(bits[lo : hi + 1], or_, initial=within[lo])
+            _reorder(keys, bits, within, old, [offset[v] * n + v - 1 for v in moved], n)
+        if lifted:
+            _reorder(keen, keen_bits, keen_within, old_keen, [keen_key(x) for x in lifted], n)
         shift = d
 
         # push one unit along the path, walking back from the sink
@@ -402,8 +424,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 parent[v - 1] = u - OUT
                 kids[u - OUT] |= 1 << (v - 1)
             elif v == BOT:
-                to_bottom |= 1 << (u - OUT)
-                if below[u - OUT]:
+                x = u - OUT
+                to_bottom |= 1 << x
+                # a free out-node joins the routed ones when its unit is used
+                if below[x] and not free >> x & 1:
                     insort(routed, -base[u] * size + u)
             elif u == SRC:
                 x = v - OUT
@@ -411,29 +435,28 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                     spare -= 1
                 else:
                     free ^= 1 << x
-                    if below[x]:
-                        del offers[bisect_left(offers, -base[v] * size + v)]
-                        touched.append(v)
+                    base[v] = -shift  # its potential is 0
+                    touched.append(v)
+                    if below[x] and to_bottom >> x & 1:
+                        insort(routed, -base[v] * size + v)
             elif u == BOT:
                 to_bottom ^= 1 << (v - OUT)
                 del routed[bisect_left(routed, -base[v] * size + v)]
             else:  # in(y) -> out(x): out(x) -> in(y) gives its unit back
                 x = v - OUT
                 kids[x] ^= 1 << (u - 1)
-                # a no-op unless out(x) sends the unit on to the bottom node:
-                # a new kid z on the path ends with b(z) = b(y), and the
-                # floor was at most b(z)
-                floor[x] = min(floor[x], offset[u])
-                if floor[x] <= weight[x]:
-                    awake |= 1 << x
+                # out(x) may offer to y again: a floor left above y's key can
+                # skip an offer that settles y before the sink, and the
+                # potentials would part from min_cost_flow's
+                floor[x] = min(floor[x], offset[u] * n + u - 1)
             v = u
         else:
             raise InternalError("the augmenting path does not lead back to the source")
 
-        # reset the search state: out-nodes to their source offers
+        # reset the search state
         dist[SINK] = dist[BOT] = INF
         for v in touched:
-            dist[v] = -base[v] if free >> (v - OUT) & 1 else INF
+            dist[v] = INF
             prev[v] = SRC
 
     labels = p.elements

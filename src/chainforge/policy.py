@@ -27,7 +27,7 @@ pass over the covers instead, seeded with each label's own chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidPartition, MalformedFlow, NoMaximum, NotComparable, UnknownLabel
 from .poset import Poset
@@ -235,23 +235,36 @@ def _chains_from_parents(p: Poset, r: str, w: int, parent: dict[str, str]) -> Ch
     return ChainPartition(tuple(chains))
 
 
+def _users_in(policy: Policy) -> Callable[[int], int]:
+    """The number of users at the labels of a mask, summed per user count:
+    one mask operation per distinct count."""
+    by_count: dict[int, int] = {}
+    for i, c in enumerate(map(policy.user_count.__getitem__, policy.poset.elements)):
+        if c:
+            by_count[c] = by_count.get(c, 0) | 1 << i
+    groups = by_count.items()
+    return lambda mask: sum(c * (mask & m).bit_count() for c, m in groups)
+
+
 def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:
     """Recompute ``issued_secrets`` from the derivation tree: the root's
     users pay once per chain, and each tree link is paid for by exactly the
-    classes that must hold the child's secret."""
+    classes that must hold the child's secret (see ``secret_holders``)."""
     tree = derivation_tree(policy, pi)
+    p, users_in = policy.poset, _users_in(policy)
+    up, index = p._up, p.index
     total = len(pi.chains) * policy.count(tree.root)
     for child, parent in tree.parent.items():
-        total += link_cost(policy, parent, child)
+        total += users_in(up[index[child]] & ~up[index[parent]])
     return total
 
 
 def issued_secrets_via_bottoms(policy: Policy, pi: ChainPartition) -> int:
     """Recompute ``issued_secrets`` from chain bottoms alone: each bottom is
     paid for by every user at or above it."""
-    p = policy.poset
+    p, users_in = policy.poset, _users_in(policy)
     p._chain_index(pi.chains)
-    return sum(policy.count(x) for b in pi.bottoms for x in p.up_set(b))
+    return sum(users_in(p._up[p.index[b]]) for b in pi.bottoms)
 
 
 def augment_with_maximum(policy: Policy) -> tuple[Policy, str, bool]:

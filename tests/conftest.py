@@ -89,3 +89,21 @@ def random_policies(count: int, max_n: int, seed: int, min_n: int = 1):
         n = rng.randint(min_n, max_n)
         d = densities[i % len(densities)]
         yield random_policy(n, d, seed=seed * 100003 + i)
+
+
+def random_chain_partition(poset: Poset, rng: random.Random) -> ChainPartition:
+    """A haphazard but always valid chain partition.
+
+    Places elements in reverse linear-extension order; each element either
+    extends a compatible chain at its bottom or opens a new chain.
+    """
+    chains: list[list[str]] = []
+    for x in reversed(poset.linear_extension()):
+        options: list[list[str] | None] = [c for c in chains if poset.lt(x, c[-1])]
+        options.append(None)
+        pick = rng.choice(options)
+        if pick is None:
+            chains.append([x])
+        else:
+            pick.append(x)
+    return ChainPartition(tuple(tuple(c) for c in chains))

@@ -1,0 +1,68 @@
+"""Compare optimal_partition with the flow oracle on seeded small policies.
+
+Run from the repository root:
+
+    PYTHONPATH=src:tests python tests/oracle_sweep.py
+
+Each of the 2 000 policies i has 1 to 40 labels and is one of five
+variants, by i mod 5: plain, sparse users, declared bottom-first, declared
+in a shuffled order, or with a new maximum declared mid-list. The sweep
+prints every policy whose partition text or metrics differ from the
+oracle's and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+from chainforge import Policy, Poset, optimal_partition
+from chainforge.formats import partition_text
+from chainforge.gen import random_policy
+
+from test_optimize import bottom_first, flow_oracle, sparse_users, with_maximum_at
+
+COUNT = 2000
+VARIANTS = ("plain", "sparse", "bottom-first", "shuffled", "mid-list maximum")
+
+
+def shuffled(policy: Policy, rng: random.Random) -> Policy:
+    """The same policy with its labels declared in a random order."""
+    labels = list(policy.poset.elements)
+    rng.shuffle(labels)
+    return Policy(Poset(labels, policy.poset.covers), policy.user_count)
+
+
+def sweep_policy(i: int) -> Policy:
+    rng = random.Random(i)
+    n = rng.randint(1, 40)
+    policy = random_policy(n, rng.choice((0.05, 0.1, 0.2, 0.3, 0.5, 0.8)), seed=i)
+    variant = i % len(VARIANTS)
+    if variant == 1:
+        return sparse_users(policy, i, share=rng.choice((0.1, 0.3)))
+    if variant == 2:
+        return bottom_first(policy)
+    if variant == 3:
+        return shuffled(sparse_users(policy, i, share=0.3), rng)
+    if variant == 4:
+        return with_maximum_at(sparse_users(policy, i, share=0.3), n // 2)
+    return policy
+
+
+def main() -> int:
+    bad = 0
+    for i in range(COUNT):
+        policy = sweep_policy(i)
+        got, want = optimal_partition(policy), flow_oracle(policy)
+        same = partition_text(got.partition) == partition_text(want.partition) and (
+            got.khat, got.width, got.kmax, got.flow_cost
+        ) == (want.khat, want.width, want.kmax, want.flow_cost)
+        if not same:
+            bad += 1
+            print(f"policy {i} ({VARIANTS[i % len(VARIANTS)]}, {len(policy.poset)} labels) differs")
+    print(f"{COUNT} policies, {bad} differing from the flow oracle")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ from chainforge.flow import (
     restore_lower_bounds,
 )
 from chainforge.formats import policy_text
-from chainforge.gen import random_chain_partition, random_policy
+from chainforge.gen import random_policy
 from chainforge.policy import (
     augment_with_maximum,
     bundle_labels,
@@ -36,7 +36,7 @@ from chainforge.policy import (
     secret_holders,
 )
 
-from conftest import enumerate_min_cost, random_policies
+from conftest import enumerate_min_cost, random_chain_partition, random_policies
 from test_cli import DEMO, PART_A, PART_B, PART_C, lines_of
 
 

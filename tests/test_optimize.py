@@ -402,10 +402,10 @@ def users_on(policy, labels):
 
 
 class TestRestingAgainstFlowOracle:
-    """Under a zero sink bound the kernel reads from the source offers only
-    the awake out-nodes, those whose floor is at most W(x). The resting
-    ones are stood for by one heap entry: the lowest that may relax the
-    bottom node. These shapes put that on its edges."""
+    """Under a zero sink bound the kernel reads only the free out-nodes in
+    its keen index, those whose floor is at most W(x). The resting ones
+    are stood for by one read: the lowest that may relax the bottom node.
+    These shapes put that on its edges."""
 
     assert_same = TestAgainstFlowOracle.assert_same
 
@@ -416,8 +416,8 @@ class TestRestingAgainstFlowOracle:
         self.assert_same(declared_in_reverse(random_policy(77, 0.4, seed=129)))
 
     def test_zero_weight_covers(self):
-        # a cover with no users between its ends keeps its parent awake, so
-        # awake and resting out-nodes interleave in id order
+        # a cover with no users between its ends keeps its parent keen, so
+        # keen and resting out-nodes interleave in id order
         for i, policy in enumerate(random_policies(60, 24, seed=571)):
             self.assert_same(sparse_users(policy, i, share=(0.1, 0.3)[i % 2]))
             self.assert_same(declared_in_reverse(sparse_users(policy, i)))
@@ -449,11 +449,29 @@ class TestRestingAgainstFlowOracle:
                 self.assert_same(with_maximum_at(sparse_users(policy, i, share=0.3), position))
 
     def test_huge_counts(self):
-        # resting out-nodes beside awake ones, with counts past float range
+        # resting out-nodes beside keen ones, with counts past float range
         for base in (sparse_users(fence(30, 7, False), 7, share=0.3),
                      sparse_users(random_policy(40, 0.15, seed=583), 5)):
             counts = {x: 10**400 * c + i for i, (x, c) in enumerate(base.user_count.items()) if c}
             self.assert_same(Policy(base.poset, counts))
+
+
+class TestKeyBoundsAgainstFlowOracle:
+    """The kernel's bound on the sink and its floors are in-node keys
+    (distance, id), so an offer that ties the bound's distance is cut only
+    after the bound's in-node. When up-set weights tie, the least key below
+    an out-node can sit deeper than its covers, on a smaller id."""
+
+    assert_same = TestAgainstFlowOracle.assert_same
+
+    def test_equal_weights_below_a_cover(self):
+        for n, density, seed, position in (
+            (21, 0.5, 2125, 18), (29, 0.2, 5324, 11), (39, 0.8, 7739, 38), (30, 0.8, 8530, 30),
+        ):
+            policy = sparse_users(random_policy(n, density, seed), seed, share=0.3)
+            self.assert_same(with_maximum_at(policy, position))
+        self.assert_same(declared_in_reverse(sparse_users(random_policy(25, 0.1, 6821), 6821)))
+        self.assert_same(sparse_users(random_policy(40, 0.5, 8632), 8632))
 
 
 # partitions too large for the flow oracle, pinned by the sha256 of their
@@ -475,6 +493,16 @@ GOLDEN = [
     # equal up-set weights: many offers on the tightened sink bound
     ("sparse_users(fence(400))", lambda: sparse_users(fence(400, 5, True), 3),
      "ae212663473fbd52ad14d1d8e20c8b43d2d8ebaeb2e37a7dc18cd3ad0ab5741c", 361, 400, 361),
+    # one chain: the bottom node's one unit goes in the first search
+    ("total_order(400)", lambda: total_order(400, 9, False),
+     "d57c1207fda95003c5e6956c8d5399aa08f35ae97f07df19da93d113f802f035", 912, 1, 909),
+    ("sparse_users(random_policy(400, 0.05))",
+     lambda: sparse_users(random_policy(400, 0.05, seed=3), 4),
+     "78baca65b1b29f0008406e444e23886fc1f2c4ac0b74b06ae60d7ab5082c2897", 3391, 40, 3391),
+    # the maximum's out-node among the others in id order
+    ("with_maximum_at(random_policy(300, 0.05), 150)",
+     lambda: with_maximum_at(random_policy(300, 0.05, seed=5), 150),
+     "f5e2c0a61d5c981e66918a4216d4ac7f2c973ce203bdce54faf90177a2a180af", 13264, 36, 13156),
 ]
 
 
@@ -544,3 +572,22 @@ class TestKernelWork:
         # up to one pop more per search
         assert self.heap_pops(monkeypatch, fence(250, 3, False)) <= 39200
         assert self.heap_pops(monkeypatch, total_order(200, 3, False)) <= 480
+
+    def test_bottom_stream_pops(self, monkeypatch):
+        # 1 167 while the source offers were a sorted list, and the bottom
+        # node queued offers to out-nodes it could not improve, the free
+        # maximum's among them
+        policy = declared_in_reverse(random_policy(77, 0.4, seed=129))
+        assert self.heap_pops(monkeypatch, policy) <= 1092
+        # 413 when the bottom node queues its next offer without asking
+        # whether it beats the out-node's distance
+        policy = with_maximum_at(sparse_users(random_policy(34, 0.2, 1243), 1243, share=0.3), 1)
+        assert self.heap_pops(monkeypatch, policy) <= 405
+
+    def test_give_back_lowers_the_floor(self, monkeypatch):
+        # a give-back lets out(x) offer to in(y) again; were x's floor left
+        # above y's key, x would skip an offer that settles y before the
+        # sink (one pop and one push fewer here), and the potentials would
+        # part from min_cost_flow's though the links stay the same
+        policy = with_maximum_at(sparse_users(random_policy(16, 0.1, 301074), 301074, share=0.3), 11)
+        assert self.heap_work(monkeypatch, policy) == (109, 140)

@@ -24,9 +24,11 @@ import pytest
 from chainforge import ChainPartition, Policy, Poset
 from chainforge.ces import SchemeParams, derive, issue_bundle, seeded_entropy, setup
 from chainforge.errors import InvalidPartition, NotAuthorized, ParseError
-from chainforge.gen import random_chain_partition, random_policy
+from chainforge.gen import random_policy
 from chainforge.optimize import optimal_partition, verify_result
 from chainforge.policy import bundle_labels, issued_secrets, max_bundle_size, total_secrets
+
+from conftest import random_chain_partition
 
 DENSITIES = (0.0, 0.15, 0.3, 0.5, 0.8, 1.0)
 UNKNOWN = ("zz", "x99", "q")

@@ -11,7 +11,6 @@ from chainforge.errors import (
     NotComparable,
     UnknownLabel,
 )
-from chainforge.gen import random_chain_partition
 from chainforge.policy import (
     _chains_from_parents,
     attach_to_maximum,
@@ -27,7 +26,7 @@ from chainforge.policy import (
     total_secrets,
 )
 
-from conftest import DEMO_ELEMENTS, random_policies
+from conftest import DEMO_ELEMENTS, random_chain_partition, random_policies
 
 
 @pytest.fixture(scope="module")

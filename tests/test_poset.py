@@ -8,10 +8,10 @@ from chainforge.errors import (
     RedundantCover,
     UnknownLabel,
 )
-from chainforge.gen import random_chain_partition, random_policy
+from chainforge.gen import random_policy
 from chainforge.policy import augment_with_maximum
 
-from conftest import DEMO_ELEMENTS, brute_max_antichain, random_policies
+from conftest import DEMO_ELEMENTS, brute_max_antichain, random_chain_partition, random_policies
 
 
 class TestConstruction:
