@@ -28,6 +28,7 @@ from .errors import (
 from .formats import parse_partition, parse_policy, partition_text, policy_text
 from .policy import (
     Policy,
+    _users_in,
     attach_to_maximum,
     bundle_labels,
     issued_secrets,
@@ -50,12 +51,12 @@ def _load_policy(path: str) -> Policy:
 
 
 def _print_bottoms(policy, pi) -> None:
-    p = policy.poset
+    p, users_in = policy.poset, _users_in(policy)
     total_size = total_weight = 0
     for chain in pi.chains:
         b = chain[-1]
-        size = p.up_size(b)
-        weight = sum(policy.count(x) for x in p.up_set(b))
+        up = p._up[p.index[b]]
+        size, weight = up.bit_count(), users_in(up)
         total_size += size
         total_weight += weight
         print(f"bottom {b}: size {size} weight {weight}")
@@ -105,6 +106,9 @@ def _cmd_evaluate(args) -> int:
         raise InternalError(
             f"issued-secret formulas disagree: {khat}, tree {tree}, bottoms {bottoms}"
         )
+    # every --phi label is looked up before the report is printed, so an
+    # unknown one prints only the error line
+    phis = [(label, bundle_labels(policy, label, pi)) for label in args.phi or []]
     print(f"chains: {len(pi.chains)}")
     print(f"kmax: {max_bundle_size(policy, pi)}")
     print(f"K: {total_secrets(policy, pi)}")
@@ -112,8 +116,8 @@ def _cmd_evaluate(args) -> int:
     print(f"khat_tree: {tree}")
     print(f"khat_bottoms: {bottoms}")
     _print_bottoms(policy, pi)
-    for label in args.phi or []:
-        print(f"phi({label}): " + " ".join(bundle_labels(policy, label, pi)))
+    for label, bundle in phis:
+        print(f"phi({label}): " + " ".join(bundle))
     return 0
 
 

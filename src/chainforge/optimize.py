@@ -74,6 +74,23 @@ def _reorder(
     within[lo : hi + 1] = accumulate(bits[lo:hi], or_, initial=within[lo])
 
 
+def _least_prefix(within: list[int], mask: int, hi: int) -> int:
+    """The least k <= hi whose prefix mask ``within[k]`` meets ``mask``,
+    given that ``within[hi]`` does and ``within[0]`` is empty: a search
+    down from hi in steps that double while they hit, then a bisection."""
+    lo, step = 1, 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if hi - step > mid:
+            mid = hi - step
+        if within[mid] & mask:
+            hi = mid
+            step *= 2
+        else:
+            lo = mid + 1
+    return hi
+
+
 def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     """Solve the min-cost flow of ``build_flow_network(work)`` on the
     poset's bitmasks, without building the network.
@@ -131,16 +148,18 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     in-node leads straight to the sink, so it is never settled closer than
     the sink and its base stays 0; it pushes the sink at its own distance
     when it pops, ahead of every later key. So before x offers, the bound
-    is lowered to x's least offer to an unmatched in-node, found by a
-    search down the prefix masks, and x's offers after it are cut. None of
-    the offers x then makes could lower the bound further.
+    is lowered to x's least offer to an unmatched in-node, found by
+    :func:`_least_prefix` among the in-nodes under the bound, and x's
+    offers after it are cut. None of the offers x then makes could lower
+    the bound further.
 
     Each out-node also keeps a floor, a lower bound on b(y) * n + y over
-    the in-nodes it may still offer to. It stays valid because a settled
-    in-node's b(y) only grows; it comes down when a unit is given back and
-    goes up when a search finds no offer under the bound. An out-node
-    whose a * n + floor lies above the bound offers nothing and
-    skips the mask work. A free out-node has a = -W(x), so it offers
+    the in-nodes it may still offer to. It opens at the least key below
+    x, found by the same search over all in-nodes. It stays valid because
+    a settled in-node's b(y) only grows; it comes down when a unit is
+    given back and goes up when a search finds no offer under the bound.
+    An out-node whose a * n + floor lies above the bound offers nothing
+    and skips the mask work. A free out-node has a = -W(x), so it offers
     something only if floor(x) - W(x) * n is at most the bound: the keen
     index holds the out-nodes of non-minimal labels sorted by that, with
     prefix masks, and keen(bound) is its prefix up to the bound.
@@ -157,14 +176,15 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
 
     The bottom node's offers to the out-nodes routed to it are a third
     stream: sorted by -base, they come in heap-key order once the bottom
-    node is settled, and only the next one that beats its out-node's
-    distance waits in the heap. r's out-node joins them when its last
-    unit is used; until then no offer beats its source edge. An offer
-    read after the sink changes nothing, but ties fall as if every offer
-    had been pushed at once: a stream entry settles its out-node only if
-    it beats the out-node's distance, and once the bottom node is settled
-    an in-node's offer to a routed out-node must also beat the bottom
-    node's.
+    node is settled. One scan, run when the bottom node settles and again
+    when its queued offer pops, queues the next one that beats its
+    out-node's distance, so only one waits in the heap. r's out-node
+    joins them when its last unit is used; until then no offer beats its
+    source edge. An offer read after the sink changes nothing, but ties
+    fall as if every offer had been pushed at once: a stream entry
+    settles its out-node only if it beats the out-node's distance, and
+    once the bottom node is settled an in-node's offer to a routed
+    out-node must also beat the bottom node's.
     """
     p = work.poset
     n = len(p)
@@ -217,18 +237,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     within = list(accumulate(bits, or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
     # floor[x] <= b(y) * n + y for every in-node y in below[x] ^ kids[x]: at
-    # first the least key in below[x], found by a search up the prefix masks
-    floor: list[float] = [INF] * n
-    for x, m in enumerate(below):
-        if m:
-            lo, hi = 1, n - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if within[mid] & m:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            floor[x] = keys[hi - 1]
+    # first the least key in below[x]
+    floor: list[float] = [keys[_least_prefix(within, m, n - 1) - 1] if m else INF for m in below]
 
     def keen_key(x: int) -> int:
         return (floor[x] - weight[x] * n) * n + x
@@ -291,7 +301,19 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                         prev[SINK] = u
                         heappush(heap, du * size)
                     continue
-                if key == head:  # the bottom node's offer: queue the next one
+                if d > dist[u] and key != head:  # a stale entry
+                    continue
+                if u == BOT or key == head:
+                    if u == BOT:
+                        settled.append(key)
+                        bot = d + base[BOT]
+                        j = -1
+                        if room and bot < dist[SINK]:
+                            dist[SINK] = bot
+                            prev[SINK] = u
+                            heappush(heap, bot * size)
+                    # queue the bottom node's next offer, the one after
+                    # routed[j] that beats its out-node's distance
                     head = -1
                     for j in range(j + 1, len(routed)):
                         v = routed[j] % size
@@ -299,28 +321,12 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                             head = bot * size + routed[j]
                             heappush(heap, head)
                             break
-                    if d >= dist[u]:
+                    if u == BOT or d >= dist[u]:
                         continue
                     dist[u] = d
                     prev[u] = BOT
                     touched.append(u)
-                elif d > dist[u]:
-                    continue
                 settled.append(key)
-                if u == BOT:
-                    bot = d + base[BOT]
-                    # queue its first offer that beats the out-node's distance
-                    for j in range(len(routed)):
-                        v = routed[j] % size
-                        if bot - base[v] < dist[v]:
-                            head = bot * size + routed[j]
-                            heappush(heap, head)
-                            break
-                    if room and bot < dist[SINK]:
-                        dist[SINK] = bot
-                        prev[SINK] = u
-                        heappush(heap, bot * size)
-                    continue
                 du = d + base[u]
             elif key == INF:
                 raise InternalError("the flow network's sink is unreachable")
@@ -349,20 +355,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                     free_in = cand & unmatched
                     if free_in:
                         # an unmatched in-node's base is 0, so the cheapest
-                        # offer to one bounds the sink: find the least hi
-                        # whose prefix holds one, searching down from k.
-                        # The sink is pushed when that in-node pops, so
-                        # every offer after it in key order is cut
-                        lo, hi, step = 1, k, 1
-                        while lo < hi:
-                            mid = (lo + hi) // 2
-                            if hi - step > mid:
-                                mid = hi - step
-                            if within[mid] & free_in:
-                                hi = mid
-                                step *= 2
-                            else:
-                                lo = mid + 1
+                        # offer to one bounds the sink, and every offer
+                        # after it in key order is cut
+                        hi = _least_prefix(within, free_in, k)
                         bound = an + keys[hi - 1]
                         cand &= within[hi]
                         queue &= keen_within[bisect_left(keen, (bound + 1) * n)] | idle

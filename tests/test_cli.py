@@ -163,6 +163,14 @@ class TestPartition:
 
 
 class TestEvaluate:
+    def test_unknown_phi_label_prints_only_the_error(self, capsys, demo_file, tmp_path):
+        part = tmp_path / "ref.partition"
+        part.write_text(PART_A)
+        code, out, err = run(capsys, "evaluate", demo_file, str(part), "--phi", "h", "--phi", "zz")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown label 'zz'\n"
+
     @pytest.mark.parametrize(
         "text,kmax,total,phi_h",
         [

@@ -591,3 +591,48 @@ class TestKernelWork:
         # part from min_cost_flow's though the links stay the same
         policy = with_maximum_at(sparse_users(random_policy(16, 0.1, 301074), 301074, share=0.3), 11)
         assert self.heap_work(monkeypatch, policy) == (109, 140)
+
+
+class TestLeastPrefix:
+    """``_least_prefix`` sets every initial floor and every lowered sink
+    bound; it must return what a scan up the prefix masks returns."""
+
+    @staticmethod
+    def prefix_masks(rng, size):
+        ids = list(range(size))
+        rng.shuffle(ids)
+        within = [0]
+        for i in ids:
+            within.append(within[-1] | 1 << i)
+        return ids, within
+
+    @staticmethod
+    def scan(within, mask, hi):
+        return next(k for k in range(1, hi + 1) if within[k] & mask)
+
+    def test_against_a_scan(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            size = rng.randint(1, 70)
+            _, within = self.prefix_masks(rng, size)
+            mask = rng.getrandbits(size) or 1 << rng.randrange(size)
+            first = self.scan(within, mask, size)
+            hi = rng.randint(first, size)
+            assert optimize._least_prefix(within, mask, hi) == self.scan(within, mask, hi)
+
+    def test_edges(self):
+        rng = random.Random(29)
+        for size in (1, 2, 3, 8, 33, 64, 65, 200):
+            ids, within = self.prefix_masks(rng, size)
+            # hi = 1: the first prefix is the only one to look at
+            assert optimize._least_prefix(within, 1 << ids[0], 1) == 1
+            assert optimize._least_prefix(within, within[size], 1) == 1
+            for k in range(1, size + 1):
+                # a mask that meets only within[hi], with hi at k and at
+                # the end of the list
+                only = 1 << ids[k - 1]
+                assert optimize._least_prefix(within, only, k) == k
+                assert optimize._least_prefix(within, only, size) == k
+                # masks that meet early prefixes, searched from far above
+                early = only | 1 << ids[rng.randrange(k - 1, size)]
+                assert optimize._least_prefix(within, early, size) == k
