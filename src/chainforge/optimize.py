@@ -1,10 +1,10 @@
 """End-to-end chain partition optimization.
 
 Pipeline: guarantee a unique maximum (synthetic, zero users, if needed),
-solve the paper's min-cost flow on the poset's bitmasks (which also gives
-the width w), read the chain-parent links back into a chain partition with
-exactly w chains, strip the synthetic maximum again, and report the
-metrics.
+solve the paper's min-cost flow on the poset's bitmasks, whose supply at
+the maximum is the width w that :meth:`Poset.width` computes, read the
+chain-parent links back into a chain partition with exactly w chains,
+strip the synthetic maximum again, and report the metrics.
 
 The result minimizes the total number of issued secrets over all chain
 partitions while no user class ever holds more than w secrets. The flow
@@ -153,26 +153,23 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     offers after it are cut. None of the offers x then makes could lower
     the bound further.
 
-    Each out-node also keeps a floor, a lower bound on b(y) * n + y over
-    the in-nodes it may still offer to. It opens at the least key below
-    x, found by the same search over all in-nodes. It stays valid because
-    a settled in-node's b(y) only grows; it comes down when a unit is
-    given back and goes up when a search finds no offer under the bound.
-    An out-node whose a * n + floor lies above the bound offers nothing
-    and skips the mask work. A free out-node has a = -W(x), so it offers
-    something only if floor(x) - W(x) * n is at most the bound: the keen
-    index holds the out-nodes of non-minimal labels sorted by that, with
-    prefix masks, and keen(bound) is its prefix up to the bound.
+    Each out-node x also has a floor: the least key b(y) * n + y below x
+    when the call starts, found by the same search over all in-nodes. It
+    bounds every key below x for the whole call, as b(y) only grows: the
+    correction only lowers the base of a settled in-node, and an
+    unmatched in-node's base stays 0. An out-node whose a * n + floor lies
+    above the bound offers nothing and skips the mask work. A free
+    out-node has a = -W(x), so it may offer something only if
+    floor(x) - W(x) * n is at most the bound: the keen index holds the
+    out-nodes of non-minimal labels sorted by that, with prefix masks, and
+    keen(bound) is its prefix up to the bound. Floors and the keen index
+    are set once and never repaired.
 
     The free out-nodes are not pushed but read in id order, at shift, as
     a stream merged with the heap in key order: those in keen(bound), cut
     again whenever the bound falls, and the lowest one not routed to the
     bottom node, whose relaxation of the bottom node is the first; any
     other would relax it to the same distance later, and do nothing else.
-    A free out-node's floor rises only when it is read, and it is
-    re-placed in the keen order after the search. A give-back lowers the
-    floor of an out-node entered from an in-node, never of a free one, so
-    the keen order needs no other repair.
 
     The bottom node's offers to the out-nodes routed to it are a third
     stream: sorted by -base, they come in heap-key order once the bottom
@@ -236,18 +233,14 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     bits = [1 << k % n for k in keys]
     within = list(accumulate(bits, or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
-    # floor[x] <= b(y) * n + y for every in-node y in below[x] ^ kids[x]: at
-    # first the least key in below[x]
-    floor: list[float] = [keys[_least_prefix(within, m, n - 1) - 1] if m else INF for m in below]
-
-    def keen_key(x: int) -> int:
-        return (floor[x] - weight[x] * n) * n + x
-
+    # floor[x] <= b(y) * n + y for every in-node y in below[x], for the
+    # whole call: the least key in below[x] now, as keys only grow (a
+    # minimal label's 0 is never read)
+    floor = [keys[_least_prefix(within, m, n - 1) - 1] if m else 0 for m in below]
     # the keen index: the out-nodes of non-minimal labels as sorted keys
-    # (floor[x] - W(x) * n, x), their bits and prefix masks
-    keen = sorted(keen_key(x) for x in range(n) if below[x])
-    keen_bits = [1 << k % n for k in keen]
-    keen_within = list(accumulate(keen_bits, or_, initial=0))
+    # (floor[x] - W(x) * n, x) and their prefix masks
+    keen = sorted((floor[x] - weight[x] * n) * n + x for x in range(n) if below[x])
+    keen_within = list(accumulate((1 << k % n for k in keen), or_, initial=0))
 
     for _ in range(n - 1 + w):
         # a bound on the sink's shifted distance, which is its true one as
@@ -264,7 +257,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
         unreached, pending = all_in, 0
         settled = []  # heap keys of the nodes settled before the sink, in order
         touched = []  # out-nodes whose distance or predecessor changed
-        lifted, old_keen = [], []  # free out-nodes whose floor rose, their old keen keys
         bot = INF  # d + base of the bottom node once it is settled
         # the heap key of the bottom node's queued offer; -1 would be the
         # source's, which is never queued
@@ -346,11 +338,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 else:
                     k = bisect_right(keys, bound - an)
                     cand = (below[x] ^ kids[x]) & within[k]
-                    if not cand:
-                        if free >> x & 1:
-                            lifted.append(x)
-                            old_keen.append(keen_key(x))
-                        floor[x] = bound - an + 1
                 if cand:
                     free_in = cand & unmatched
                     if free_in:
@@ -402,8 +389,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
             for v in moved:
                 offset[v] = weight[v - 1] - base[v]
             _reorder(keys, bits, within, old, [offset[v] * n + v - 1 for v in moved], n)
-        if lifted:
-            _reorder(keen, keen_bits, keen_within, old_keen, [keen_key(x) for x in lifted], n)
         shift = d
 
         # push one unit along the path, walking back from the sink
@@ -438,12 +423,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 to_bottom ^= 1 << (v - OUT)
                 del routed[bisect_left(routed, -base[v] * size + v)]
             else:  # in(y) -> out(x): out(x) -> in(y) gives its unit back
-                x = v - OUT
-                kids[x] ^= 1 << (u - 1)
-                # out(x) may offer to y again: a floor left above y's key can
-                # skip an offer that settles y before the sink, and the
-                # potentials would part from min_cost_flow's
-                floor[x] = min(floor[x], offset[u] * n + u - 1)
+                kids[v - OUT] ^= 1 << (u - 1)
             v = u
         else:
             raise InternalError("the augmenting path does not lead back to the source")

@@ -285,9 +285,7 @@ def augment_with_maximum(policy: Policy) -> tuple[Policy, str, bool]:
     while top in p:
         k += 1
         top = f"r{k}"
-    counts = dict(policy.user_count)
-    counts[top] = 0
-    return Policy(p.with_top(top), counts), top, True
+    return Policy(p.with_top(top), policy.user_count), top, True
 
 
 def attach_to_maximum(policy: Policy, pi: ChainPartition) -> tuple[Policy, ChainPartition]:

@@ -1,0 +1,49 @@
+"""Count the heap work of one chain-parent kernel call on the baseline rows.
+
+Run from the repository root:
+
+    PYTHONPATH=src:tests python tests/kernel_work.py
+
+For each of the seven rows of ROADMAP.md's baseline table it runs
+``optimize._chain_parents`` once and prints the heap pops, the heap
+pushes, the width w and the flow cost. It exits 1 if w or the cost differs
+from the recorded value, or if the pops or the pushes exceed it. The counts
+repeat exactly from run to run, so the limits cannot flake.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from chainforge.gen import random_policy
+
+from test_optimize import fence, kernel_heap_work, total_order
+
+# row, policy, and the recorded pops, pushes, w and cost
+ROWS = [
+    ("random_policy(100, 0.2, 1)", lambda: random_policy(100, 0.2, seed=1), 2346, 3101, 9, 1562),
+    ("random_policy(200, 0.1, 1)", lambda: random_policy(200, 0.1, seed=1), 7800, 10156, 17, 6569),
+    ("random_policy(400, 0.05, 1)", lambda: random_policy(400, 0.05, seed=1), 50915, 57067, 38, 27590),
+    ("random_policy(800, 0.05, 1)", lambda: random_policy(800, 0.05, seed=1), 118018, 136290, 37, 61373),
+    ("fence(250, 3, False)", lambda: fence(250, 3, False), 38365, 39660, 250, 1908),
+    ("fence(1000, 3, False)", lambda: fence(1000, 3, False), 605961, 612609, 1000, 7440),
+    ("total_order(1200, 1, False)", lambda: total_order(1200, 1, False), 2642, 5662, 1, 3024),
+]
+
+
+def main() -> int:
+    bad = 0
+    for name, make, max_pops, max_pushes, want_w, want_cost in ROWS:
+        pops, pushes, w, cost = kernel_heap_work(make())
+        ok = pops <= max_pops and pushes <= max_pushes and (w, cost) == (want_w, want_cost)
+        bad += not ok
+        print(
+            f"{name}: {pops} pops (at most {max_pops}), {pushes} pushes (at most {max_pushes}),"
+            f" w {w} ({want_w}), cost {cost} ({want_cost}){'' if ok else '  FAILED'}"
+        )
+    print(f"{len(ROWS)} rows, {bad} failed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -347,8 +347,8 @@ def bottom_first(policy):
 class TestSkipsAgainstFlowOracle:
     """The kernel skips an out-node whose every offer lies above the bound
     on the sink's distance. These shapes put that test on its edges: a
-    floor exactly on the bound, floors that must come down when a unit is
-    given back, and searches whose bound starts infinite."""
+    floor exactly on the bound, out-nodes that offer again to an in-node
+    after a unit is given back, and searches whose bound starts infinite."""
 
     assert_same = TestAgainstFlowOracle.assert_same
 
@@ -433,7 +433,8 @@ class TestRestingAgainstFlowOracle:
                 self.assert_same(bottom_first(sparse_users(fence(tops, seed, True), seed, share)))
 
     def test_give_back_wakes_a_resting_out_node(self):
-        # the rare give-back that lowers a floor to W(x) under a zero bound
+        # the rare give-back after which a resting out-node offers under a
+        # zero bound
         for n, density, seed, users_seed, share in (
             (7, 0.3, 700222052, 1046, 0.1),
             (22, 0.8, 700221106, 100, 0.1),
@@ -517,80 +518,90 @@ class TestGoldenPartitions:
         assert (res.khat, res.width, res.flow_cost) == (khat, width, cost)
 
 
+def kernel_heap_work(policy):
+    """Heap pops, heap pushes, w and cost of one kernel call on the policy."""
+    pops = pushes = 0
+    pop, push = heapq.heappop, heapq.heappush
+
+    def counted_pop(heap):
+        nonlocal pops
+        pops += 1
+        return pop(heap)
+
+    def counted_push(heap, item):
+        nonlocal pushes
+        pushes += 1
+        push(heap, item)
+
+    work = augment_with_maximum(policy)[0]
+    # the kernel looks both up in heapq when it is called
+    heapq.heappop, heapq.heappush = counted_pop, counted_push
+    try:
+        _, w, cost = optimize._chain_parents(work)
+    finally:
+        heapq.heappop, heapq.heappush = pop, push
+    # every one of the n - 1 + w searches pops at least the sink
+    assert pushes >= pops >= len(work.poset) - 1 + w
+    return pops, pushes, w, cost
+
+
 class TestKernelWork:
     """Heap pops and pushes of one kernel call on the benchmark's shapes:
     the counts repeat exactly, so a bound on them cannot flake."""
 
-    def heap_work(self, monkeypatch, policy):
-        pops = pushes = 0
-        pop, push = heapq.heappop, heapq.heappush
+    @staticmethod
+    def heap_work(policy):
+        return kernel_heap_work(policy)[:2]
 
-        def counted_pop(heap):
-            nonlocal pops
-            pops += 1
-            return pop(heap)
+    @staticmethod
+    def heap_pops(policy):
+        return kernel_heap_work(policy)[0]
 
-        def counted_push(heap, item):
-            nonlocal pushes
-            pushes += 1
-            push(heap, item)
-
-        work = augment_with_maximum(policy)[0]
-        monkeypatch.setattr(heapq, "heappop", counted_pop)
-        monkeypatch.setattr(heapq, "heappush", counted_push)
-        _, w, _ = optimize._chain_parents(work)
-        monkeypatch.undo()
-        # every one of the n - 1 + w searches pops at least the sink
-        assert pushes >= pops >= len(work.poset) - 1 + w
-        return pops, pushes
-
-    def heap_pops(self, monkeypatch, policy):
-        return self.heap_work(monkeypatch, policy)[0]
-
-    def test_fence_pops(self, monkeypatch):
+    def test_fence_pops(self):
         # 78 766 before out-nodes skipped their dead offers and the source
         # offers stopped passing through the heap
-        assert self.heap_pops(monkeypatch, fence(250, 3, False)) <= 0.6 * 78766
+        assert self.heap_pops(fence(250, 3, False)) <= 0.6 * 78766
 
-    def test_total_order_pops(self, monkeypatch):
+    def test_total_order_pops(self):
         # 9 477 before
-        assert self.heap_pops(monkeypatch, total_order(200, 3, False)) <= 0.6 * 9477
+        assert self.heap_pops(total_order(200, 3, False)) <= 0.6 * 9477
 
-    def test_fence_pushes(self, monkeypatch):
+    def test_fence_pushes(self):
         # 204 788 while every offer under the bound was pushed before the
         # bound was tightened, and the settled bottom node pushed every
         # routed out-node it improved
-        assert self.heap_work(monkeypatch, fence(250, 3, False))[1] <= 0.4 * 204788
+        assert self.heap_work(fence(250, 3, False))[1] <= 0.4 * 204788
 
-    def test_total_order_pushes(self, monkeypatch):
+    def test_total_order_pushes(self):
         # 7 665 before
-        assert self.heap_work(monkeypatch, total_order(200, 3, False))[1] <= 0.6 * 7665
+        assert self.heap_work(total_order(200, 3, False))[1] <= 0.6 * 7665
 
-    def test_one_idle_entry(self, monkeypatch):
+    def test_one_idle_entry(self):
         # 39 392 and 506 while a search under a zero bound could push a
         # free minimal label's out-node beside the lowest resting one, for
         # up to one pop more per search
-        assert self.heap_pops(monkeypatch, fence(250, 3, False)) <= 39200
-        assert self.heap_pops(monkeypatch, total_order(200, 3, False)) <= 480
+        assert self.heap_pops(fence(250, 3, False)) <= 39200
+        assert self.heap_pops(total_order(200, 3, False)) <= 480
 
-    def test_bottom_stream_pops(self, monkeypatch):
+    def test_bottom_stream_pops(self):
         # 1 167 while the source offers were a sorted list, and the bottom
         # node queued offers to out-nodes it could not improve, the free
         # maximum's among them
         policy = declared_in_reverse(random_policy(77, 0.4, seed=129))
-        assert self.heap_pops(monkeypatch, policy) <= 1092
+        assert self.heap_pops(policy) <= 1092
         # 413 when the bottom node queues its next offer without asking
         # whether it beats the out-node's distance
         policy = with_maximum_at(sparse_users(random_policy(34, 0.2, 1243), 1243, share=0.3), 1)
-        assert self.heap_pops(monkeypatch, policy) <= 405
+        assert self.heap_pops(policy) <= 405
 
-    def test_give_back_lowers_the_floor(self, monkeypatch):
-        # a give-back lets out(x) offer to in(y) again; were x's floor left
-        # above y's key, x would skip an offer that settles y before the
-        # sink (one pop and one push fewer here), and the potentials would
-        # part from min_cost_flow's though the links stay the same
+    def test_give_back_offers_again(self):
+        # a give-back lets out(x) offer to in(y) again, and that offer
+        # settles y before the sink; x's floor, the least key below x when
+        # the call starts, never skips it. Skipped, it would save one pop
+        # and one push here, and the potentials would part from
+        # min_cost_flow's though the links stay the same
         policy = with_maximum_at(sparse_users(random_policy(16, 0.1, 301074), 301074, share=0.3), 11)
-        assert self.heap_work(monkeypatch, policy) == (109, 140)
+        assert self.heap_work(policy) == (109, 140)
 
 
 class TestLeastPrefix:
