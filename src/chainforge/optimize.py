@@ -16,7 +16,7 @@ is tested against; this module holds only the production path.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
@@ -117,9 +117,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     settled closer correct their base. The state that depends on the
     potentials persists across searches and is repaired for those nodes
     only: the in-nodes sorted by b(y) = W(y) - base(in y), with prefix
-    masks, repaired in one re-sort per search, and the out-nodes routed to
-    the bottom node, one sorted key list, whose corrected entries are moved
-    one at a time.
+    masks, repaired in one re-sort per search.
 
     Free out-nodes, those with a unit left on their source edge, all sit
     at potential 0. One other than r's has no chain child and is not
@@ -130,6 +128,18 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     shifted distance shift, from the source, and none is ever corrected:
     its base is set to -shift when its unit is used, and until then its
     distance is held at 0, at or below shift, which no offer beats.
+
+    Out-nodes routed to the bottom node, other than r's, share the bottom
+    node's potential. Such an out-node has sent its one unit there, so it
+    has no chain child, and its one way in is the reverse edge from the
+    bottom node, of cost 0. That edge is tight after the search whose path
+    routed the unit, and from then on each search reaches both nodes at
+    the same distance, or moves both by the sink's. So their bases are not
+    kept: one takes base(bottom) when its unit leaves the bottom node. r's
+    out-node is also reached from its chain children, so it keeps its own
+    base, and the settled bottom node pushes its one offer to it only if
+    that beats out(r)'s distance, as :func:`min_cost_flow` would relax it;
+    while r has units left, no offer beats its source edge.
 
     An out-node x settled at distance d offers each in-node y below it
     a + b(y), with a = d + base(out x) - W(x), so its offers are one mask
@@ -154,16 +164,18 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     the bound further.
 
     Each out-node x also has a floor: the least key b(y) * n + y below x
-    when the call starts, found by the same search over all in-nodes. It
-    bounds every key below x for the whole call, as b(y) only grows: the
-    correction only lowers the base of a settled in-node, and an
-    unmatched in-node's base stays 0. An out-node whose a * n + floor lies
-    above the bound offers nothing and skips the mask work. A free
-    out-node has a = -W(x), so it may offer something only if
-    floor(x) - W(x) * n is at most the bound: the keen index holds the
-    out-nodes of non-minimal labels sorted by that, with prefix masks, and
-    keen(bound) is its prefix up to the bound. Floors and the keen index
-    are set once and never repaired.
+    when the call starts, taken in one pass up the covers. It bounds every
+    key below x for the whole call, as b(y) only grows: the correction
+    only lowers the base of a settled in-node, and an unmatched in-node's
+    base stays 0. An out-node whose a * n + floor lies above the bound
+    offers nothing and skips the mask work. A free out-node has
+    a = -W(x), so it may offer something only if floor(x) - W(x) * n is at
+    most the bound: the keen index holds the out-nodes of non-minimal
+    labels sorted by that, with prefix masks, and keen(bound) is its
+    prefix up to the bound. A shared routed out-node
+    settled with the bottom node at d + base(bottom) = c has a = c - W(x),
+    so it may offer something only if it is in keen(bound - c * n). Floors
+    and the keen index are set once and never repaired.
 
     The free out-nodes are not pushed but read in id order, at shift, as
     a stream merged with the heap in key order: those in keen(bound), cut
@@ -171,17 +183,13 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     bottom node, whose relaxation of the bottom node is the first; any
     other would relax it to the same distance later, and do nothing else.
 
-    The bottom node's offers to the out-nodes routed to it are a third
-    stream: sorted by -base, they come in heap-key order once the bottom
-    node is settled. One scan, run when the bottom node settles and again
-    when its queued offer pops, queues the next one that beats its
-    out-node's distance, so only one waits in the heap. r's out-node
-    joins them when its last unit is used; until then no offer beats its
-    source edge. An offer read after the sink changes nothing, but ties
-    fall as if every offer had been pushed at once: a stream entry
-    settles its out-node only if it beats the out-node's distance, and
-    once the bottom node is settled an in-node's offer to a routed
-    out-node must also beat the bottom node's.
+    The bottom node's key is above every free out-node's, so that stream
+    is spent when the bottom node settles at d. The same stream then reads
+    the shared routed out-nodes in keen(bound - c * n), in id order at d,
+    again cut whenever the bound falls. They come in the heap-key order in
+    which :func:`min_cost_flow` would settle them, as nothing else reaches
+    them. The others offer nothing and relax nothing, as their edge to the
+    bottom node is saturated.
     """
     p = work.poset
     n = len(p)
@@ -213,8 +221,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     heappush, heappop = heapq.heappush, heapq.heappop
 
     # the potential of node v is base[v] + shift; the sink's base stays 0
-    # (it is settled at the sink's distance), and a free out-node's is
-    # not kept
+    # (it is settled at the sink's distance), and neither a free out-node's
+    # nor a shared routed one's is kept
     base = [0] * size
     shift = 0
     # shifted distances and predecessors; a free out-node holds 0 and the
@@ -222,10 +230,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     dist: list[float] = [INF] * size
     dist[OUT:BOT] = [0] * n
     prev = [SRC] * size
-    # the out-nodes of non-minimal labels routed to the bottom node, but
-    # not free, as sorted keys (-base[v], node id): the bottom node settled
-    # at du offers them du - base[v] in this order
-    routed: list[int] = []
     # the in-nodes as sorted keys (b(y), y), their bits and the prefix
     # masks: within[k] holds the first k of them
     offset = [0] + weight  # b(y) by in-node id
@@ -234,9 +238,15 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     within = list(accumulate(bits, or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
     # floor[x] <= b(y) * n + y for every in-node y in below[x], for the
-    # whole call: the least key in below[x] now, as keys only grow (a
-    # minimal label's 0 is never read)
-    floor = [keys[_least_prefix(within, m, n - 1) - 1] if m else 0 for m in below]
+    # whole call: the least key in below[x] now, as keys only grow, taken
+    # over x's lower covers c bottom-up (a minimal label's is never read)
+    floor = [INF] * n
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for c, x in p.covers:
+        lower[p.index[x]].append(p.index[c])
+    for x in sorted(range(n), key=lambda x: below[x].bit_count()):
+        for c in lower[x]:
+            floor[x] = min(floor[x], weight[c] * n + c, floor[c])
     # the keen index: the out-nodes of non-minimal labels as sorted keys
     # (floor[x] - W(x) * n, x) and their prefix masks
     keen = sorted((floor[x] - weight[x] * n) * n + x for x in range(n) if below[x])
@@ -248,8 +258,11 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
         room = to_bottom.bit_count() < w
         bound = zero_bound if room and free & ~to_bottom else top_bound
         heap = [INF]  # an end mark: nothing is pushed at INF
-        # the stream of free out-nodes still to read, at heap keys at + id
-        at = shift * size
+        # the stream of out-nodes still to read, at heap keys at + id, each
+        # reached from the node via with d + base = lift: first the free
+        # ones from the source, then, once the bottom node is settled, the
+        # shared routed ones from it
+        at, lift, via = shift * size, 0, SRC
         idle = free & ~to_bottom
         idle &= -idle
         queue = free & keen_within[bisect_left(keen, (bound + 1) * n)] | idle
@@ -257,10 +270,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
         unreached, pending = all_in, 0
         settled = []  # heap keys of the nodes settled before the sink, in order
         touched = []  # out-nodes whose distance or predecessor changed
-        bot = INF  # d + base of the bottom node once it is settled
-        # the heap key of the bottom node's queued offer; -1 would be the
-        # source's, which is never queued
-        head = -1
 
         while True:
             key = nxt
@@ -282,8 +291,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                         v = OUT + x
                         du += weight[x] - weight[y]
                         nd = du - base[v]
-                        # a routed out-node keeps the bottom node's offer on a tie
-                        if nd < dist[v] and (du < bot or not to_bottom >> x & 1):
+                        if nd < dist[v]:
                             dist[v] = nd
                             prev[v] = u
                             touched.append(v)
@@ -293,40 +301,39 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                         prev[SINK] = u
                         heappush(heap, du * size)
                     continue
-                if d > dist[u] and key != head:  # a stale entry
+                if d > dist[u]:  # a stale entry
                     continue
-                if u == BOT or key == head:
-                    if u == BOT:
-                        settled.append(key)
-                        bot = d + base[BOT]
-                        j = -1
-                        if room and bot < dist[SINK]:
-                            dist[SINK] = bot
-                            prev[SINK] = u
-                            heappush(heap, bot * size)
-                    # queue the bottom node's next offer, the one after
-                    # routed[j] that beats its out-node's distance
-                    head = -1
-                    for j in range(j + 1, len(routed)):
-                        v = routed[j] % size
-                        if bot - base[v] < dist[v]:
-                            head = bot * size + routed[j]
-                            heappush(heap, head)
-                            break
-                    if u == BOT or d >= dist[u]:
-                        continue
-                    dist[u] = d
-                    prev[u] = BOT
-                    touched.append(u)
                 settled.append(key)
                 du = d + base[u]
+                if u == BOT:
+                    if room and du < dist[SINK]:
+                        dist[SINK] = du
+                        prev[SINK] = u
+                        heappush(heap, du * size)
+                    # the stream turns to the shared routed out-nodes, all
+                    # but r's, at d; out(r) keeps its own base
+                    at, lift, via = key - BOT, du, BOT
+                    queue = to_bottom & ~free & all_in
+                    queue &= keen_within[bisect_left(keen, (bound - du * n + 1) * n)]
+                    nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
+                    v = OUT + r
+                    nd = du - base[v]
+                    if (to_bottom & ~free) >> r & 1 and nd < dist[v]:
+                        dist[v] = nd
+                        prev[v] = u
+                        touched.append(v)
+                        heappush(heap, nd * size + v)
+                    continue
             elif key == INF:
                 raise InternalError("the flow network's sink is unreachable")
-            else:  # a free out-node, from its source edge
+            else:  # a free out-node from the source, or a routed one from the bottom node
                 u = key - at
                 queue ^= 1 << (u - OUT)
                 nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
-                du = 0
+                # not touched: a routed one is reached only here, so a stale
+                # predecessor is never read
+                prev[u] = via
+                du = lift
 
             # out(x)
             x = u - OUT
@@ -347,7 +354,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                         hi = _least_prefix(within, free_in, k)
                         bound = an + keys[hi - 1]
                         cand &= within[hi]
-                        queue &= keen_within[bisect_left(keen, (bound + 1) * n)] | idle
+                        queue &= keen_within[bisect_left(keen, (bound - lift * n + 1) * n)] | idle
                         nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
                     better = cand & unreached
                     old = cand & pending
@@ -379,9 +386,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
             t, v = divmod(key, size)
             if v < OUT:
                 moved.append(v)
-            elif v < BOT and to_bottom >> (v - OUT) & 1:  # re-key its place in the routed ones
-                del routed[bisect_left(routed, -base[v] * size + v)]
-                insort(routed, (d - t - base[v]) * size + v)
             base[v] += t - d
         if moved:
             # a settled in-node's b(y) only grows
@@ -404,11 +408,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                 parent[v - 1] = u - OUT
                 kids[u - OUT] |= 1 << (v - 1)
             elif v == BOT:
-                x = u - OUT
-                to_bottom |= 1 << x
-                # a free out-node joins the routed ones when its unit is used
-                if below[x] and not free >> x & 1:
-                    insort(routed, -base[u] * size + u)
+                to_bottom |= 1 << (u - OUT)
             elif u == SRC:
                 x = v - OUT
                 if x == r and spare:
@@ -417,11 +417,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
                     free ^= 1 << x
                     base[v] = -shift  # its potential is 0
                     touched.append(v)
-                    if below[x] and to_bottom >> x & 1:
-                        insort(routed, -base[v] * size + v)
             elif u == BOT:
                 to_bottom ^= 1 << (v - OUT)
-                del routed[bisect_left(routed, -base[v] * size + v)]
+                base[v] = base[BOT]
             else:  # in(y) -> out(x): out(x) -> in(y) gives its unit back
                 kids[v - OUT] ^= 1 << (u - 1)
             v = u
