@@ -18,32 +18,75 @@ compactness.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import ParseError
 from .policy import ChainPartition, Policy
 from .poset import Poset
 
-_SECTIONS = ("elements", "covers", "users")
+_HEADERS = frozenset(("elements:", "covers:", "users:"))
 
 
-def _tokens_by_section(text: str) -> dict[str, list[tuple[str, int]]]:
-    sections: dict[str, list[tuple[str, int]]] = {}
-    current: str | None = None
+def _tokens_by_section(text: str) -> dict[str, tuple[list[str], list[int]]]:
+    """Each section's tokens, plus the line number of every token in a
+    parallel list (read only to report errors)."""
+    sections: dict[str, tuple[list[str], list[int]]] = {}
+    current: tuple[list[str], list[int]] | None = None
+
+    def take(tokens: list[str], lineno: int) -> None:
+        if not tokens:
+            return
+        if current is None:
+            raise ParseError(f"token {tokens[0]!r} before any section header", lineno)
+        current[0].extend(tokens)
+        current[1].extend([lineno] * len(tokens))
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        for tok in parts:
-            if tok.endswith(":") and tok[:-1] in _SECTIONS:
-                current = tok[:-1]
-                if current in sections:
-                    raise ParseError(f"duplicate section {tok!r}", lineno)
-                sections[current] = []
-            elif current is None:
-                raise ParseError(f"token {tok!r} before any section header", lineno)
-            else:
-                sections[current].append((tok, lineno))
+        parts = raw.split("#", 1)[0].split()
+        start = 0
+        if not _HEADERS.isdisjoint(parts):
+            for k, tok in enumerate(parts):
+                if tok in _HEADERS:
+                    take(parts[start:k], lineno)
+                    if tok[:-1] in sections:
+                        raise ParseError(f"duplicate section {tok!r}", lineno)
+                    current = sections[tok[:-1]] = ([], [])
+                    start = k + 1
+        take(parts[start:], lineno)
     return sections
+
+
+def _long_count(num: str) -> int | None:
+    """The integer that ``num`` spells when ``int(num)`` refused it for
+    having more digits than Python's int/str conversion limit, else None.
+    It is converted in pieces below the limit; the process-wide limit is
+    left as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    body = num[1:] if num[:1] in ("+", "-") else num
+    digits = body.replace("_", "")
+    # int()'s own syntax: '_' only between two digits
+    if not limit or not digits.isdecimal() or "_" in (body[0], body[-1]) or "__" in body:
+        return None
+    value = 0
+    for k in range(0, len(digits), limit):
+        piece = digits[k : k + limit]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if num[0] == "-" else value
+
+
+def _decimal(value: int) -> str:
+    """``str(value)`` for a nonnegative count, also past Python's int/str
+    conversion limit: such values are written in pieces below the limit."""
+    try:
+        return str(value)
+    except ValueError:
+        step = sys.get_int_max_str_digits()
+        base, pieces = 10 ** step, []
+        while value >= base:
+            value, low = divmod(value, base)
+            pieces.append(str(low).zfill(step))
+        pieces.append(str(value))
+        return "".join(reversed(pieces))
 
 
 def parse_policy(text: str) -> Policy:
@@ -53,32 +96,32 @@ def parse_policy(text: str) -> Policy:
     sections = _tokens_by_section(text)
     if "elements" not in sections:
         raise ParseError("missing 'elements:' section")
-    elements = [tok for tok, _ in sections["elements"]]
+    elements = sections["elements"][0]
     if not elements:
         raise ParseError("'elements:' section is empty")
 
+    tokens, lines = sections.get("covers", ((), ()))
     covers = []
-    for tok, lineno in sections.get("covers", []):
-        if tok.count(">") != 1:
-            raise ParseError(f"cover {tok!r} must be parent>child", lineno)
-        parent, child = tok.split(">")
-        if not parent or not child:
-            raise ParseError(f"cover {tok!r} must be parent>child", lineno)
+    for k, tok in enumerate(tokens):
+        parent, _, child = tok.partition(">")
+        if not parent or not child or ">" in child:
+            raise ParseError(f"cover {tok!r} must be parent>child", lines[k])
         covers.append((child, parent))
 
+    tokens, lines = sections.get("users", ((), ()))
     counts = {}
-    for tok, lineno in sections.get("users", []):
-        if tok.count("=") != 1:
-            raise ParseError(f"user count {tok!r} must be label=count", lineno)
-        label, num = tok.split("=")
+    for k, tok in enumerate(tokens):
+        label, _, num = tok.partition("=")
         try:
             value = int(num)
-        except ValueError:
-            raise ParseError(f"user count {tok!r} must be label=count", lineno) from None
+        except ValueError:  # also no '=' (num is empty) or a second one
+            value = _long_count(num)
+        if value is None:
+            raise ParseError(f"user count {tok!r} must be label=count", lines[k])
         if value < 0:
-            raise ParseError(f"user count {tok!r} is negative", lineno)
+            raise ParseError(f"user count {tok!r} is negative", lines[k])
         if label in counts:
-            raise ParseError(f"duplicate user count for {label!r}", lineno)
+            raise ParseError(f"duplicate user count for {label!r}", lines[k])
         counts[label] = value
 
     return Policy(Poset(elements, covers), counts)
@@ -89,7 +132,9 @@ def policy_text(policy: Policy) -> str:
     if policy.poset.covers:
         lines.append("covers: " + " ".join(f"{p}>{c}" for c, p in policy.poset.covers))
     users = " ".join(
-        f"{x}={policy.user_count[x]}" for x in policy.poset.elements if policy.user_count[x]
+        f"{x}={_decimal(policy.user_count[x])}"
+        for x in policy.poset.elements
+        if policy.user_count[x]
     )
     if users:
         lines.append("users: " + users)

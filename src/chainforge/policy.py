@@ -40,8 +40,9 @@ class Policy:
 
     def __init__(self, poset: Poset, user_count: Mapping[str, int] | None = None):
         counts = {x: 0 for x in poset.elements}
+        index = poset.index
         for lab, cnt in (user_count or {}).items():
-            if lab not in poset:
+            if lab not in index:
                 raise UnknownLabel(f"user count for unknown label {lab!r}")
             if not isinstance(cnt, int) or isinstance(cnt, bool) or cnt < 0:
                 raise ValueError(f"user count for {lab!r} must be a nonnegative integer")
@@ -285,7 +286,11 @@ def augment_with_maximum(policy: Policy) -> tuple[Policy, str, bool]:
     while top in p:
         k += 1
         top = f"r{k}"
-    return Policy(p.with_top(top), policy.user_count), top, True
+    # the source policy's counts are already checked, in declaration order
+    augmented = Policy.__new__(Policy)
+    augmented.poset = p.with_top(top)
+    augmented.user_count = {**policy.user_count, top: 0}
+    return augmented, top, True
 
 
 def attach_to_maximum(policy: Policy, pi: ChainPartition) -> tuple[Policy, ChainPartition]:

@@ -15,6 +15,7 @@ threads.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -28,19 +29,21 @@ from .errors import (
 )
 
 
-# characters and whole tokens that the policy and partition files reserve
-_RESERVED_CHARS = ">#="
-_SECTION_HEADERS = ("elements:", "covers:", "users:")
+# a label: nonempty, no whitespace, and none of the characters or whole
+# tokens that the policy and partition files reserve ('>', '#', '=' and the
+# section headers)
+_LABEL = re.compile(r"(?!(?:elements|covers|users):\Z)[^\s>#=]+")
 
 
 def _check_label(label: str) -> None:
-    if not isinstance(label, str) or not label or any(c.isspace() for c in label):
-        raise InvalidLabel(f"bad label {label!r}: must be nonempty with no whitespace")
-    if any(c in _RESERVED_CHARS for c in label) or label in _SECTION_HEADERS:
+    if isinstance(label, str) and _LABEL.fullmatch(label):
+        return
+    if isinstance(label, str) and label.split() == [label]:
         raise InvalidLabel(
             f"bad label {label!r}: '>', '#', '=' and section headers cannot be "
             "written to a policy file"
         )
+    raise InvalidLabel(f"bad label {label!r}: must be nonempty with no whitespace")
 
 
 class Poset:
@@ -56,26 +59,30 @@ class Poset:
         elements = tuple(elements)
         for lab in elements:
             _check_label(lab)
-        index: dict[str, int] = {}
-        for i, lab in enumerate(elements):
-            if lab in index:
-                raise DuplicateLabel(f"label {lab!r} declared twice")
-            index[lab] = i
+        index = {lab: i for i, lab in enumerate(elements)}
+        if len(index) != len(elements):
+            seen: set[str] = set()
+            for lab in elements:
+                if lab in seen:
+                    raise DuplicateLabel(f"label {lab!r} declared twice")
+                seen.add(lab)
 
         covers = tuple(covers)
         parents: list[list[int]] = [[] for _ in elements]  # child -> parents
         children: list[list[int]] = [[] for _ in elements]
-        seen_arcs: set[tuple[int, int]] = set()
+        kids = [0] * len(elements)  # parent -> mask of its declared children
+        get = index.get
         for child, parent in covers:
-            for lab in (child, parent):
-                if lab not in index:
-                    raise UnknownLabel(f"cover endpoint {lab!r} is not a declared element")
-            ic, ip = index[child], index[parent]
+            ic, ip = get(child), get(parent)
+            if ic is None or ip is None:
+                lab = child if ic is None else parent
+                raise UnknownLabel(f"cover endpoint {lab!r} is not a declared element")
             if ic == ip:
                 raise CycleDetected(child)
-            if (ic, ip) in seen_arcs:
+            bit = 1 << ic
+            if kids[ip] & bit:
                 raise RedundantCover(f"cover {child!r} < {parent!r} declared twice")
-            seen_arcs.add((ic, ip))
+            kids[ip] |= bit
             parents[ic].append(ip)
             children[ip].append(ic)
 
@@ -125,10 +132,11 @@ class Poset:
         return down, up
 
     def _reject_redundant_covers(self) -> None:
+        # a cover's up-set and down-set meet in its two ends, and in every
+        # label between them when it is implied transitively
+        up, down, index = self._up, self._down, self.index
         for child, parent in self.covers:
-            ic, ip = self.index[child], self.index[parent]
-            between = self._up[ic] & self._down[ip] & ~(1 << ic) & ~(1 << ip)
-            if between:
+            if (up[index[child]] & down[index[parent]]).bit_count() > 2:
                 raise RedundantCover(
                     f"cover {child!r} < {parent!r} is implied transitively"
                 )
@@ -197,10 +205,10 @@ class Poset:
         return self._up[self._i(x)].bit_count()
 
     def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if self._up[self.index[x]].bit_count() == 1)
+        return tuple(x for x, up in zip(self.elements, self._up) if up.bit_count() == 1)
 
     def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if self._down[self.index[x]].bit_count() == 1)
+        return tuple(x for x, down in zip(self.elements, self._down) if down.bit_count() == 1)
 
     def maximum(self) -> str | None:
         """The unique maximum element, or None if there is none."""
@@ -212,20 +220,40 @@ class Poset:
 
         Computed as |X| minus a maximum matching of the strict-order
         bipartite graph (minimum chain cover, which Dilworth's theorem
-        equates with the maximum antichain size). Augmenting paths are
+        equates with the maximum antichain size). The matching is seeded
+        along the covers: top-down, each label takes a cover parent that no
+        label has taken yet. Augmenting paths are then searched once from
+        each label the seed leaves unmatched. A label with no augmenting path
+        never gains one when later paths are flipped, so none is left at the
+        end, and by Berge's theorem the matching is maximum. Paths are
         searched on an explicit stack, so depth is not bounded by recursion.
         """
         n = len(self.elements)
         if n == 0:
             raise ValueError("width of an empty poset is undefined")
-        succ = [self._up[i] & ~(1 << i) for i in range(n)]
-        match_of = [0] * n  # right vertex -> its left vertex, once not free
+        up, index = self._up, self.index
+        parents: list[list[int]] = [[] for _ in range(n)]
+        for child, parent in self.covers:
+            parents[index[child]].append(index[parent])
+        # a label's down-set is larger than any below it: this order is top-down
+        height = [down.bit_count() for down in self._down]
+        match_of = [-1] * n  # right vertex -> its left vertex, -1 while free
         free = (1 << n) - 1  # right vertices not yet matched
-        for i in range(n):
+        unmatched = []
+        for i in sorted(range(n), key=height.__getitem__, reverse=True):
+            for p in parents[i]:
+                if match_of[p] < 0:
+                    match_of[p] = i
+                    free ^= 1 << p
+                    break
+            else:
+                unmatched.append(i)
+        for i in unmatched:
             # path: the right vertices leading from i to the left vertex searched
             path, seen = [], 0
             while True:
-                cand = succ[match_of[path[-1]] if path else i] & ~seen
+                left = match_of[path[-1]] if path else i
+                cand = (up[left] ^ 1 << left) & ~seen
                 pick = cand & free or cand  # an unmatched successor first
                 if pick:
                     low = pick & -pick

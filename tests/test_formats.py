@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from chainforge import Policy, Poset
+from chainforge import Policy, Poset, optimal_partition
 from chainforge.errors import InvalidPartition, ParseError, RedundantCover, UnknownLabel
 from chainforge.formats import parse_partition, parse_policy, partition_text, policy_text
 
@@ -106,6 +108,48 @@ class TestPolicyParsing:
     def test_semantic_errors_surface(self):
         with pytest.raises(RedundantCover):
             parse_policy("elements: a b c\ncovers: b>a c>b c>a\n")
+
+
+class TestLongCounts:
+    """Counts past Python's int <-> str digit limit (4 300 digits by default)
+    round-trip through the policy format, and the limit is left as it is."""
+
+    LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    BIG = 10**5000 + 123_456_789  # 5 001 digits
+
+    def test_round_trip(self):
+        policy = Policy(Poset(["lo", "hi"], [("lo", "hi")]), {"lo": self.BIG, "hi": 7})
+        text = policy_text(policy)
+        assert text.endswith(" hi=7\n")
+        back = parse_policy(text)
+        assert back.user_count == policy.user_count
+        assert optimal_partition(back).khat == self.BIG + 7  # one chain, one secret each
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == self.LIMIT
+
+    def test_every_length_around_the_limit(self):
+        for digits in (1, 639, 640, 641, 4299, 4300, 4301, 8600, 8601, 12_000):
+            count = int("7" * digits) if digits <= 4300 else (10**digits - 1) // 9 * 7
+            text = policy_text(Policy(Poset(["x"]), {"x": count}))
+            assert text == "elements: x\nusers: x=" + "7" * digits + "\n"
+            assert parse_policy(text).count("x") == count
+
+    def test_spellings(self):
+        digits = "1" + "0" * 4999
+        # int() also reads a sign, '_' between digits and other scripts' digits
+        for num, want in [("+" + digits, 10**4999), ("1_" + digits, 10**5000 + 10**4999),
+                          ("٣" * 4400, (10**4400 - 1) // 9 * 3)]:
+            assert parse_policy(f"elements: x\nusers: x={num}\n").count("x") == want
+
+    def test_negative(self):
+        with pytest.raises(ParseError, match="is negative") as exc:
+            parse_policy("elements: x\n\nusers: x=-" + "9" * 5000 + "\n")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("num", ["1__2", "_12", "12_", "1.5", "12a", "--1", "+-1"])
+    def test_malformed(self, num):
+        body = num.replace("1", "1" * 2500)
+        with pytest.raises(ParseError, match="must be label=count"):
+            parse_policy(f"elements: x\nusers: x={body}\n")
 
 
 class TestPartitionParsing:
