@@ -252,8 +252,8 @@ class Poset:
             # path: the right vertices leading from i to the left vertex searched
             path, seen = [], 0
             while True:
-                left = match_of[path[-1]] if path else i
-                cand = (up[left] ^ 1 << left) & ~seen
+                v = match_of[path[-1]] if path else i  # the left vertex searched
+                cand = (up[v] ^ 1 << v) & ~seen
                 pick = cand & free or cand  # an unmatched successor first
                 if pick:
                     low = pick & -pick
