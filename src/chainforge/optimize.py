@@ -91,14 +91,19 @@ def _least_prefix(within: list[int], mask: int, hi: int) -> int:
     return hi
 
 
-def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
+Potentials = tuple[dict[str, int], dict[str, int], int]
+
+
+def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     """Solve the min-cost flow of ``build_flow_network(work)`` on the
     poset's bitmasks, without building the network.
 
     Returns the chain-parent links (child -> parent, one for every label
-    but the maximum r), the width w, and the flow cost: the sum of
+    but the maximum r), the width w, the flow cost: the sum of
     W(up y) - W(up x) over the links x -> y, W being the user-weighted
-    up-set size.
+    up-set size, and the final node potentials of :func:`min_cost_flow`:
+    those of the in-nodes and the out-nodes by label, and the bottom
+    node's. ``chainforge.certify`` checks them against the links.
 
     The search is :func:`min_cost_flow`'s on the lower-bound-eliminated
     network: the same node order with the sink first, the same heap keys
@@ -190,6 +195,35 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     which :func:`min_cost_flow` would settle them, as nothing else reaches
     them. The others offer nothing and relax nothing, as their edge to the
     bottom node is saturated.
+
+    A phase is a run of searches that find the sink at the same distance,
+    shift. Within it no node settles closer than the sink, so no
+    potential moves, and a search settles only nodes at distance shift,
+    the zero layer. A node is dead if it cannot reach the sink over
+    residual edges of zero reduced cost. An augmentation only removes
+    edges, plus the reversed path edges, which leave path nodes, and those
+    were alive, so a dead node stays dead until the phase ends. A dead
+    node reaches only dead nodes at distance shift, and its other offers
+    lie above the sink's key, which pops first. So a search that skips
+    the dead nodes pops the live ones in the same order, from the same
+    predecessors, and finds the same path. Once 3n / 2w searches in a row
+    have found the sink at shift, each search logs the out-nodes it
+    settles with their offers at shift, and if it finds the sink at shift,
+    learns from them, in reverse settle order: out(x) is dead if every
+    in-node it offers shift to is dead and, if it relaxes the bottom node
+    to shift, so is the bottom node; the bottom node, which settles after
+    those, is dead if it does not reach the sink at shift and every
+    out-node it reaches there is dead: out(r) counts as alive, and a
+    shared routed one is tried from its offers; in(y) is dead with its
+    chain parent's out-node, its one way out. A node not settled counts
+    as alive. Under a dead mask a search offers
+    only in the zero layer, as its bound is the layer's last key, and
+    skips the dead nodes: in the heap, as a dead out-node holds distance
+    -INF and the dead bottom node is not pushed, and in both out-node
+    streams. A search that then leaves the layer, marked by a heap entry
+    at the source's key at distance shift, which no node takes, starts a
+    new phase, in which a dead node may lie on a path of positive cost:
+    it forgets the mask and runs again without it.
     """
     p = work.poset
     n = len(p)
@@ -229,6 +263,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     # source
     dist: list[float] = [INF] * size
     dist[OUT:BOT] = [0] * n
+    dist[SRC] = -1  # the source's heap entry is the end of the zero layer
     prev = [SRC] * size
     # the in-nodes as sorted keys (b(y), y), their bits and the prefix
     # masks: within[k] holds the first k of them
@@ -241,143 +276,240 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
     # whole call: the least key in below[x] now, as keys only grow, taken
     # over x's lower covers c bottom-up (a minimal label's is never read)
     floor = [INF] * n
-    lower: list[list[int]] = [[] for _ in range(n)]
-    for c, x in p.covers:
-        lower[p.index[x]].append(p.index[c])
-    for x in sorted(range(n), key=lambda x: below[x].bit_count()):
-        for c in lower[x]:
+    for x in p._order:
+        for c in p._children[x]:
             floor[x] = min(floor[x], weight[c] * n + c, floor[c])
     # the keen index: the out-nodes of non-minimal labels as sorted keys
     # (floor[x] - W(x) * n, x) and their prefix masks
     keen = sorted((floor[x] - weight[x] * n) * n + x for x in range(n) if below[x])
     keen_within = list(accumulate((1 << k % n for k in keen), or_, initial=0))
 
+    # the phase's dead in-nodes and out-nodes; dead_in holds bit r, which no
+    # in-node has, while the bottom node is dead
+    dead_in = dead_out = 0
+    r_bit = 1 << r
+    run = 0  # searches in a row that found the sink at shift
+    # a dead mask costs one more search of the zero layer when its phase
+    # ends, and pays only in a phase that settles the same nodes again and
+    # again: it is learned once the phase has run for 1.5 chain lengths n / w
+    lasted = 3 * n // (2 * w)
     for _ in range(n - 1 + w):
-        # a bound on the sink's shifted distance, which is its true one as
-        # its base is 0: the path source -> out(x) -> bottom -> sink costs 0
-        room = to_bottom.bit_count() < w
-        bound = zero_bound if room and free & ~to_bottom else top_bound
-        heap = [INF]  # an end mark: nothing is pushed at INF
-        # the stream of out-nodes still to read, at heap keys at + id, each
-        # reached from the node via with d + base = lift: first the free
-        # ones from the source, then, once the bottom node is settled, the
-        # shared routed ones from it
-        at, lift, via = shift * size, 0, SRC
-        idle = free & ~to_bottom
-        idle &= -idle
-        queue = free & keen_within[bisect_left(keen, (bound + 1) * n)] | idle
-        nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
-        unreached, pending = all_in, 0
-        settled = []  # heap keys of the nodes settled before the sink, in order
-        touched = []  # out-nodes whose distance or predecessor changed
+        while True:  # a search, run again without the dead mask if it leaves the phase
+            # a bound on the sink's shifted distance, which is its true one as
+            # its base is 0: the path source -> out(x) -> bottom -> sink costs 0
+            room = to_bottom.bit_count() < w
+            bound = zero_bound if room and free & ~to_bottom else top_bound
+            # the stream of out-nodes still to read, at heap keys at + id, each
+            # reached from the node via with d + base = lift: first the free
+            # ones from the source, then, once the bottom node is settled, the
+            # shared routed ones from it
+            at, lift, via = shift * size, 0, SRC
+            heap = [INF]  # an end mark: nothing is pushed at INF
+            # the zero layer: keys at distance shift, offers below tight_end.
+            # While zero, the search logs the out-nodes it settles: (x, du,
+            # cand), cand holding the offers at shift, and more if the bound
+            # is above the zero layer
+            live, unreached = free, all_in
+            zero = masked = run >= lasted
+            if zero:
+                tight_end = (shift + 1) * n
+                log = []
+                masked = dead_in or dead_out
+                if masked:
+                    # only the zero layer is searched, up to the source's
+                    # key at shift, which no node takes
+                    heap.insert(0, shift * size + SRC)
+                    bound = tight_end - 1
+                    live &= ~dead_out
+                    unreached &= ~dead_in
+                    if dead_in & r_bit:
+                        dist[BOT] = -INF
+            idle = live & ~to_bottom
+            idle &= -idle
+            queue = live & keen_within[bisect_left(keen, (bound + 1) * n)] | idle
+            nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
+            pending = 0
+            settled = []  # heap keys of the nodes settled before the sink, in order
+            touched = []  # out-nodes whose distance or predecessor changed
+            left = False  # the search left the zero layer under a dead mask
 
-        while True:
-            key = nxt
-            if heap[0] < key:
-                key = heappop(heap)
-                d, u = divmod(key, size)
-                if u == SINK:
-                    break
-                if u < OUT:  # in(y)
-                    y = u - 1
-                    bit = 1 << y
-                    if not pending & bit:  # settled already: a stale entry
+            while True:
+                key = nxt
+                if heap[0] < key:
+                    key = heappop(heap)
+                    d, u = divmod(key, size)
+                    if u == SINK:
+                        break
+                    if u < OUT:  # in(y)
+                        y = u - 1
+                        bit = 1 << y
+                        if not pending & bit:  # settled already: a stale entry
+                            continue
+                        pending ^= bit
+                        settled.append(key)
+                        du = d + base[u]
+                        if not unmatched & bit:
+                            x = parent[y]
+                            v = OUT + x
+                            du += weight[x] - weight[y]
+                            nd = du - base[v]
+                            if nd < dist[v]:
+                                dist[v] = nd
+                                prev[v] = u
+                                touched.append(v)
+                                heappush(heap, nd * size + v)
+                        elif du < dist[SINK]:
+                            dist[SINK] = du
+                            prev[SINK] = u
+                            heappush(heap, du * size)
                         continue
-                    pending ^= bit
+                    if d > dist[u]:  # a stale entry, or the zero layer's end
+                        if u == SRC:
+                            left = True
+                            break
+                        continue
                     settled.append(key)
                     du = d + base[u]
-                    if not unmatched & bit:
-                        x = parent[y]
-                        v = OUT + x
-                        du += weight[x] - weight[y]
+                    if u == BOT:
+                        if room and du < dist[SINK]:
+                            dist[SINK] = du
+                            prev[SINK] = u
+                            heappush(heap, du * size)
+                        # the stream turns to the shared routed out-nodes, all
+                        # but r's, at d; out(r) keeps its own base
+                        at, lift, via = key - BOT, du, BOT
+                        queue = to_bottom & ~free & all_in & ~dead_out
+                        queue &= keen_within[bisect_left(keen, (bound - du * n + 1) * n)]
+                        nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
+                        v = OUT + r
                         nd = du - base[v]
-                        if nd < dist[v]:
+                        if (to_bottom & ~free) >> r & 1 and nd < dist[v]:
                             dist[v] = nd
                             prev[v] = u
                             touched.append(v)
                             heappush(heap, nd * size + v)
-                    elif du < dist[SINK]:
-                        dist[SINK] = du
-                        prev[SINK] = u
-                        heappush(heap, du * size)
-                    continue
-                if d > dist[u]:  # a stale entry
-                    continue
-                settled.append(key)
-                du = d + base[u]
-                if u == BOT:
-                    if room and du < dist[SINK]:
-                        dist[SINK] = du
-                        prev[SINK] = u
-                        heappush(heap, du * size)
-                    # the stream turns to the shared routed out-nodes, all
-                    # but r's, at d; out(r) keeps its own base
-                    at, lift, via = key - BOT, du, BOT
-                    queue = to_bottom & ~free & all_in
-                    queue &= keen_within[bisect_left(keen, (bound - du * n + 1) * n)]
+                        continue
+                elif key == INF:
+                    raise InternalError("the flow network's sink is unreachable")
+                else:  # a free out-node from the source, or a routed one from the bottom node
+                    u = key - at
+                    queue ^= 1 << (u - OUT)
                     nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
-                    v = OUT + r
-                    nd = du - base[v]
-                    if (to_bottom & ~free) >> r & 1 and nd < dist[v]:
-                        dist[v] = nd
-                        prev[v] = u
-                        touched.append(v)
-                        heappush(heap, nd * size + v)
-                    continue
-            elif key == INF:
-                raise InternalError("the flow network's sink is unreachable")
-            else:  # a free out-node from the source, or a routed one from the bottom node
-                u = key - at
-                queue ^= 1 << (u - OUT)
-                nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
-                # not touched: a routed one is reached only here, so a stale
-                # predecessor is never read
-                prev[u] = via
-                du = lift
+                    # not touched: a routed one is reached only here, so a stale
+                    # predecessor is never read
+                    prev[u] = via
+                    du = lift
 
-            # out(x)
-            x = u - OUT
-            if below[x]:
-                a = du - weight[x]
-                an = a * n
-                if an + floor[x] > bound:  # every offer lies above the bound
-                    cand = 0
-                else:
-                    k = bisect_right(keys, bound - an)
-                    cand = (below[x] ^ kids[x]) & within[k]
-                if cand:
-                    free_in = cand & unmatched
-                    if free_in:
-                        # an unmatched in-node's base is 0, so the cheapest
-                        # offer to one bounds the sink, and every offer
-                        # after it in key order is cut
-                        hi = _least_prefix(within, free_in, k)
-                        bound = an + keys[hi - 1]
-                        cand &= within[hi]
-                        queue &= keen_within[bisect_left(keen, (bound - lift * n + 1) * n)] | idle
-                        nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
-                    better = cand & unreached
-                    old = cand & pending
-                    unreached ^= better
-                    while old:
-                        low = old & -old
-                        old ^= low
-                        if a < best[low.bit_length() - 1]:
-                            better |= low
-                    pending |= better
-                    while better:
-                        low = better & -better
-                        better ^= low
-                        v = low.bit_length()
-                        nd = a + offset[v]
-                        prev[v] = u
-                        best[v - 1] = a
-                        heappush(heap, nd * size + v)
-            nd = du - base[BOT]
-            if nd < dist[BOT] and not to_bottom >> x & 1:
-                dist[BOT] = nd
-                prev[BOT] = u
-                heappush(heap, nd * size + BOT)
+                # out(x)
+                x = u - OUT
+                if below[x]:
+                    a = du - weight[x]
+                    an = a * n
+                    if an + floor[x] > bound:  # every offer lies above the bound
+                        cand = 0
+                    else:
+                        k = bisect_right(keys, bound - an)
+                        cand = (below[x] ^ kids[x]) & within[k]
+                    if zero:
+                        log.append((x, du, cand))
+                    if cand:
+                        free_in = cand & unmatched
+                        if free_in:
+                            # an unmatched in-node's base is 0, so the cheapest
+                            # offer to one bounds the sink, and every offer
+                            # after it in key order is cut
+                            hi = _least_prefix(within, free_in, k)
+                            bound = an + keys[hi - 1]
+                            cand &= within[hi]
+                            cut = bisect_left(keen, (bound - lift * n + 1) * n)
+                            queue &= keen_within[cut] | idle
+                            nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
+                        better = cand & unreached
+                        old = cand & pending
+                        unreached ^= better
+                        while old:
+                            low = old & -old
+                            old ^= low
+                            if a < best[low.bit_length() - 1]:
+                                better |= low
+                        pending |= better
+                        while better:
+                            low = better & -better
+                            better ^= low
+                            v = low.bit_length()
+                            nd = a + offset[v]
+                            prev[v] = u
+                            best[v - 1] = a
+                            heappush(heap, nd * size + v)
+                elif zero:
+                    log.append((x, du, 0))
+                nd = du - base[BOT]
+                if nd < dist[BOT] and not to_bottom >> x & 1:
+                    dist[BOT] = nd
+                    prev[BOT] = u
+                    heappush(heap, nd * size + BOT)
+            if not left:
+                break
+            # a new phase: forget the dead mask and search again without it
+            dist[SINK] = dist[BOT] = INF
+            for v in touched:
+                dist[v] = INF
+                prev[v] = SRC
+            while dead_out:
+                low = dead_out & -dead_out
+                dead_out ^= low
+                dist[OUT - 1 + low.bit_length()] = 0 if free & low else INF
+            dead_in = 0
+
+        run = run + 1 if d == shift else 0
+        new = []  # out-nodes found dead in this search
+        if zero and run:  # the sink was found at shift: learn the dead nodes
+            to_bot = shift + base[BOT]  # du of an out-node tight to the bottom node
+            bot = False if dead_in & r_bit else None  # the bottom node alive, once known
+            live_in = ~dead_in
+            for x, du, cand in reversed(log):
+                cand &= live_in
+                if cand and not masked:
+                    # the offers at shift: a bound in the zero layer cuts none
+                    # before an out-node settles, as the in-node that set it
+                    # pops next
+                    an = (du - weight[x]) * n
+                    if an + floor[x] < tight_end:
+                        cand &= within[bisect_left(keys, tight_end - an)]
+                    else:
+                        cand = 0
+                if not cand and du == to_bot and not to_bottom >> x & 1:
+                    if bot is None:
+                        # it settles after every out-node tight to it, and
+                        # before the routed ones it reaches, which are
+                        # decided by now if they were read
+                        routed = to_bottom & ~free & ~dead_out
+                        bot = room and not base[BOT]
+                        bot = bot or base[OUT + r] == base[BOT] and routed >> r & 1
+                        if not bot:
+                            reach = routed & all_in
+                            reach &= keen_within[bisect_left(keen, (tight_end - to_bot * n) * n)]
+                            while reach:
+                                low = reach & -reach
+                                reach ^= low
+                                z = low.bit_length() - 1
+                                an = (to_bot - weight[z]) * n
+                                if an + floor[z] < tight_end:
+                                    k = bisect_left(keys, tight_end - an)
+                                    if below[z] & within[k] & live_in:
+                                        bot = True
+                                        break
+                                dead_out |= low
+                                new.append(OUT + z)
+                            else:
+                                dead_in |= r_bit
+                                live_in = ~dead_in
+                    cand = bot
+                if not cand:
+                    dead_out |= 1 << x
+                    dead_in |= kids[x]
+                    live_in = ~dead_in
+                    new.append(OUT + x)
 
         # correct the nodes settled closer than the sink:
         # base += dist - dist(sink)
@@ -431,11 +563,21 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int]:
         for v in touched:
             dist[v] = INF
             prev[v] = SRC
+        for v in new:  # no offer reaches a dead out-node until the phase ends
+            dist[v] = -INF
 
     labels = p.elements
     links = {labels[y]: labels[parent[y]] for y in range(n) if y != r}
     cost = sum(weight[y] - weight[parent[y]] for y in range(n) if y != r)
-    return links, w, cost
+    # a free out-node's potential is 0, a shared routed one's the bottom
+    # node's; no out-node is free at the end
+    shared = to_bottom & ~free & all_in
+    pin = {labels[y]: base[y + 1] + shift for y in range(n) if y != r}
+    pout = {
+        labels[x]: 0 if free >> x & 1 else base[BOT if shared >> x & 1 else OUT + x] + shift
+        for x in range(n)
+    }
+    return links, w, cost, (pin, pout, base[BOT] + shift)
 
 
 def optimal_partition(policy: Policy) -> OptimizationResult:
@@ -449,7 +591,7 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
     if len(policy.poset) == 0:
         raise ValueError("cannot optimize an empty policy")
     work, top, added = augment_with_maximum(policy)
-    links, w, cost = _chain_parents(work)
+    links, w, cost, _ = _chain_parents(work)
     # the flow-cost identity; verify_result checks it against three formulas
     khat = w * work.count(top) + cost
     pi = _chains_from_parents(work.poset, top, w, links)

@@ -110,13 +110,9 @@ def _bundle_sizes(p: Poset, chain_index: list[int]) -> list[int]:
     with the masks of the labels it covers, in one pass over the covers
     from the bottom up.
     """
-    index = p.index
     meets = [1 << c for c in chain_index]
-    children: list[list[int]] = [[] for _ in meets]
-    for lo, hi in p.covers:
-        children[index[hi]].append(index[lo])
-    for x in p.linear_extension():
-        i = index[x]
+    children = p._children
+    for i in p._order:
         for c in children[i]:
             meets[i] |= meets[c]
     return [m.bit_count() for m in meets]

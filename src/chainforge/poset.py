@@ -53,7 +53,7 @@ class Poset:
     order, so output is deterministic across runs.
     """
 
-    __slots__ = ("elements", "covers", "index", "_up", "_down")
+    __slots__ = ("elements", "covers", "index", "_up", "_down", "_parents", "_children", "_order")
 
     def __init__(self, elements: Sequence[str], covers: Iterable[tuple[str, str]] = ()):
         elements = tuple(elements)
@@ -89,15 +89,18 @@ class Poset:
         self.elements = elements
         self.covers = covers
         self.index = index
-        self._down, self._up = self._closure(parents, children)
+        # the covers by index: each element's cover parents and children, in
+        # declaration order of the covers, and a bottom-up order
+        self._parents, self._children = parents, children
+        self._down, self._up, self._order = self._closure(parents, children)
         self._reject_redundant_covers()
 
     def _closure(
         self, parents: list[list[int]], children: list[list[int]]
-    ) -> tuple[list[int], list[int]]:
-        """The down-set and up-set masks of every element: down-sets in a
-        topological pass from the minimal elements, up-sets in the same
-        order reversed."""
+    ) -> tuple[list[int], list[int], list[int]]:
+        """The down-set and up-set masks of every element, down-sets in a
+        topological pass from the minimal elements and up-sets in the same
+        order reversed, and that order."""
         n = len(self.elements)
         indeg = [len(children[i]) for i in range(n)]
         queue = deque(i for i in range(n) if indeg[i] == 0)
@@ -129,7 +132,7 @@ class Poset:
             for p in parents[i]:
                 mask |= up[p]
             up[i] = mask
-        return down, up
+        return down, up, order
 
     def _reject_redundant_covers(self) -> None:
         # a cover's up-set and down-set meet in its two ends, and in every
@@ -153,12 +156,18 @@ class Poset:
             raise DuplicateLabel(f"label {top!r} declared twice")
         n = len(self.elements)
         bit = 1 << n
+        maximal = [i for i, up in enumerate(self._up) if up.bit_count() == 1]
         new = Poset.__new__(Poset)
         new.elements = self.elements + (top,)
-        new.covers = self.covers + tuple((m, top) for m in self.maximal_elements())
+        new.covers = self.covers + tuple((self.elements[i], top) for i in maximal)
         new.index = {**self.index, top: n}
         new._down = self._down + [(bit << 1) - 1]
         new._up = [up | bit for up in self._up] + [bit]
+        new._parents = self._parents + [[]]
+        for i in maximal:
+            new._parents[i] = [n]  # a maximal element has no parent yet
+        new._children = self._children + [maximal]
+        new._order = self._order + [n]
         return new
 
     # -- queries ----------------------------------------------------------
@@ -231,16 +240,11 @@ class Poset:
         n = len(self.elements)
         if n == 0:
             raise ValueError("width of an empty poset is undefined")
-        up, index = self._up, self.index
-        parents: list[list[int]] = [[] for _ in range(n)]
-        for child, parent in self.covers:
-            parents[index[child]].append(index[parent])
-        # a label's down-set is larger than any below it: this order is top-down
-        height = [down.bit_count() for down in self._down]
+        up, parents = self._up, self._parents
         match_of = [-1] * n  # right vertex -> its left vertex, -1 while free
         free = (1 << n) - 1  # right vertices not yet matched
         unmatched = []
-        for i in sorted(range(n), key=height.__getitem__, reverse=True):
+        for i in reversed(self._order):  # top-down
             for p in parents[i]:
                 if match_of[p] < 0:
                     match_of[p] = i

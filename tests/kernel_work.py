@@ -6,18 +6,26 @@ Run from the repository root:
 
 For each of the seven rows of ROADMAP.md's baseline table it runs
 ``optimize._chain_parents`` once and prints the heap pops, the heap
-pushes, the width w and the flow cost. It exits 1 if w or the cost differs
-from the recorded value, or if the pops or the pushes exceed it. The counts
-repeat exactly from run to run, so the limits cannot flake.
+pushes, the width w and the flow cost, then checks the links with the
+optimality certificate of ``chainforge.certify`` and prints how many of
+its conditions fail. It then checks the kernel's links for the golden
+partitions of ``tests/test_optimize.py`` with the certificate too, which
+takes tier-1 too long. It exits 1 if w or the cost differs from the
+recorded value, if the pops or the pushes exceed it, or if any condition
+fails. The counts repeat exactly from run to run, so the limits cannot
+flake.
 """
 
 from __future__ import annotations
 
 import sys
 
+from chainforge import optimize
+from chainforge.certify import certificate_violations
 from chainforge.gen import random_policy
+from chainforge.policy import augment_with_maximum
 
-from test_optimize import fence, kernel_heap_work, total_order
+from test_optimize import GOLDEN, fence, kernel_heap_work, total_order
 
 # row, policy, and the recorded pops, pushes, w and cost
 ROWS = [
@@ -25,8 +33,8 @@ ROWS = [
     ("random_policy(200, 0.1, 1)", lambda: random_policy(200, 0.1, seed=1), 6788, 9120, 17, 6569),
     ("random_policy(400, 0.05, 1)", lambda: random_policy(400, 0.05, seed=1), 45884, 51964, 38, 27590),
     ("random_policy(800, 0.05, 1)", lambda: random_policy(800, 0.05, seed=1), 110207, 128392, 37, 61373),
-    ("fence(250, 3, False)", lambda: fence(250, 3, False), 23422, 24246, 250, 1908),
-    ("fence(1000, 3, False)", lambda: fence(1000, 3, False), 387251, 391989, 1000, 7440),
+    ("fence(250, 3, False)", lambda: fence(250, 3, False), 13990, 14420, 250, 1908),
+    ("fence(1000, 3, False)", lambda: fence(1000, 3, False), 172483, 174933, 1000, 7440),
     ("total_order(1200, 1, False)", lambda: total_order(1200, 1, False), 2642, 5662, 1, 3024),
 ]
 
@@ -35,13 +43,24 @@ def main() -> int:
     bad = 0
     for name, make, max_pops, max_pushes, want_w, want_cost in ROWS:
         pops, pushes, w, cost = kernel_heap_work(make())
+        work = augment_with_maximum(make())[0]
+        links, _, _, potentials = optimize._chain_parents(work)
+        violations = len(certificate_violations(work, links, w, potentials))
         ok = pops <= max_pops and pushes <= max_pushes and (w, cost) == (want_w, want_cost)
+        ok = ok and not violations
         bad += not ok
         print(
             f"{name}: {pops} pops (at most {max_pops}), {pushes} pushes (at most {max_pushes}),"
-            f" w {w} ({want_w}), cost {cost} ({want_cost}){'' if ok else '  FAILED'}"
+            f" w {w} ({want_w}), cost {cost} ({want_cost}), {violations} certificate violations"
+            f"{'' if ok else '  FAILED'}"
         )
-    print(f"{len(ROWS)} rows, {bad} failed")
+    for name, make, *_ in GOLDEN:
+        work = augment_with_maximum(make())[0]
+        links, w, _, potentials = optimize._chain_parents(work)
+        violations = len(certificate_violations(work, links, w, potentials))
+        bad += bool(violations)
+        print(f"golden {name}: {violations} certificate violations{'  FAILED' if violations else ''}")
+    print(f"{len(ROWS)} rows and {len(GOLDEN)} goldens, {bad} failed")
     return 1 if bad else 0
 
 

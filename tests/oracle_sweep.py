@@ -8,7 +8,8 @@ Each of the 2 000 policies i has 1 to 40 labels and is one of five
 variants, by i mod 5: plain, sparse users, declared bottom-first, declared
 in a shuffled order, or with a new maximum declared mid-list. The sweep
 prints every policy whose partition text or metrics differ from the
-oracle's and exits 1 if any does.
+oracle's, or whose chain-parent links the optimality certificate of
+``chainforge.certify`` rejects, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from __future__ import annotations
 import random
 import sys
 
-from chainforge import Policy, Poset, optimal_partition
+from chainforge import Policy, Poset, optimal_partition, optimize
+from chainforge.certify import certificate_violations
 from chainforge.formats import partition_text
 from chainforge.gen import random_policy
+from chainforge.policy import augment_with_maximum
 
 from test_optimize import bottom_first, flow_oracle, sparse_users, with_maximum_at
 
@@ -57,10 +60,16 @@ def main() -> int:
         same = partition_text(got.partition) == partition_text(want.partition) and (
             got.khat, got.width, got.kmax, got.flow_cost
         ) == (want.khat, want.width, want.kmax, want.flow_cost)
-        if not same:
+        work = augment_with_maximum(policy)[0]
+        links, w, _, potentials = optimize._chain_parents(work)
+        certified = not certificate_violations(work, links, w, potentials)
+        if not same or not certified:
             bad += 1
-            print(f"policy {i} ({VARIANTS[i % len(VARIANTS)]}, {len(policy.poset)} labels) differs")
-    print(f"{COUNT} policies, {bad} differing from the flow oracle")
+            print(
+                f"policy {i} ({VARIANTS[i % len(VARIANTS)]}, {len(policy.poset)} labels)"
+                f" {'differs' if not same else 'is not certified'}"
+            )
+    print(f"{COUNT} policies, {bad} differing from the flow oracle or not certified")
     return 1 if bad else 0
 
 
