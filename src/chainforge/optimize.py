@@ -211,19 +211,32 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     settles with their offers at shift, and if it finds the sink at shift,
     learns from them, in reverse settle order: out(x) is dead if every
     in-node it offers shift to is dead and, if it relaxes the bottom node
-    to shift, so is the bottom node; the bottom node, which settles after
-    those, is dead if it does not reach the sink at shift and every
-    out-node it reaches there is dead: out(r) counts as alive, and a
-    shared routed one is tried from its offers; in(y) is dead with its
-    chain parent's out-node, its one way out. A node not settled counts
-    as alive. Under a dead mask a search offers
-    only in the zero layer, as its bound is the layer's last key, and
-    skips the dead nodes: in the heap, as a dead out-node holds distance
-    -INF and the dead bottom node is not pushed, and in both out-node
-    streams. A search that then leaves the layer, marked by a heap entry
-    at the source's key at distance shift, which no node takes, starts a
-    new phase, in which a dead node may lie on a path of positive cost:
-    it forgets the mask and runs again without it.
+    to shift, so is the bottom node; in(y) is dead with its chain
+    parent's out-node, its one way out. A node not settled counts as
+    alive. The bottom node is decided at most once a pass, from the masks
+    alone, when an out-node that relaxes it to shift has no live offer: it
+    is dead if it neither reaches the sink at shift nor reaches a routed
+    out-node not known dead. A routed out-node counts only if it lies in
+    keen(e - c * n), e being the zero layer's end key and c the bottom
+    node's d + base, as no other may offer in the zero layer; for out(r),
+    which keeps its own base, that test errs only towards alive. The
+    bottom node settles after the out-nodes tight to it and before the
+    routed ones it reads, so those are decided by then, and one it did not
+    read counts as alive.
+
+    The phase's dead set is held only in two masks, of in-nodes and of
+    out-nodes, with bit r of the in-node mask for the bottom node. Under
+    them a search offers only in the zero layer, as its bound is the
+    layer's last key, and skips the dead nodes: a dead in-node is never
+    offered to, and both out-node streams leave the dead out-nodes out.
+    So no dead out-node enters the heap either: it is reached only from
+    its chain child, dead with it, and out(r) from the bottom node too,
+    whose relaxation tests the mask. The dead bottom node is not pushed,
+    as it holds distance -INF. A search that then leaves the layer,
+    marked by a heap entry at the source's key at distance shift, which
+    no node takes, starts a new phase, in which a dead node may lie on a
+    path of positive cost: it forgets the masks and runs again without
+    them.
     """
     p = work.poset
     n = len(p)
@@ -293,8 +306,17 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     # ends, and pays only in a phase that settles the same nodes again and
     # again: it is learned once the phase has run for 1.5 chain lengths n / w
     lasted = 3 * n // (2 * w)
+    # out-nodes whose distance or predecessor the last search changed, and
+    # the free ones whose unit its path used
+    touched = []
     for _ in range(n - 1 + w):
         while True:  # a search, run again without the dead mask if it leaves the phase
+            # reset what the last search left
+            dist[SINK] = dist[BOT] = INF
+            for v in touched:
+                dist[v] = INF
+                prev[v] = SRC
+            touched = []
             # a bound on the sink's shifted distance, which is its true one as
             # its base is 0: the path source -> out(x) -> bottom -> sink costs 0
             room = to_bottom.bit_count() < w
@@ -330,7 +352,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
             nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
             pending = 0
             settled = []  # heap keys of the nodes settled before the sink, in order
-            touched = []  # out-nodes whose distance or predecessor changed
             left = False  # the search left the zero layer under a dead mask
 
             while True:
@@ -378,12 +399,13 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                         # the stream turns to the shared routed out-nodes, all
                         # but r's, at d; out(r) keeps its own base
                         at, lift, via = key - BOT, du, BOT
-                        queue = to_bottom & ~free & all_in & ~dead_out
+                        routed = to_bottom & ~free & ~dead_out
+                        queue = routed & all_in
                         queue &= keen_within[bisect_left(keen, (bound - du * n + 1) * n)]
                         nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
                         v = OUT + r
                         nd = du - base[v]
-                        if (to_bottom & ~free) >> r & 1 and nd < dist[v]:
+                        if routed >> r & 1 and nd < dist[v]:
                             dist[v] = nd
                             prev[v] = u
                             touched.append(v)
@@ -451,18 +473,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
             if not left:
                 break
             # a new phase: forget the dead mask and search again without it
-            dist[SINK] = dist[BOT] = INF
-            for v in touched:
-                dist[v] = INF
-                prev[v] = SRC
-            while dead_out:
-                low = dead_out & -dead_out
-                dead_out ^= low
-                dist[OUT - 1 + low.bit_length()] = 0 if free & low else INF
-            dead_in = 0
+            dead_in = dead_out = 0
 
         run = run + 1 if d == shift else 0
-        new = []  # out-nodes found dead in this search
         if zero and run:  # the sink was found at shift: learn the dead nodes
             to_bot = shift + base[BOT]  # du of an out-node tight to the bottom node
             bot = False if dead_in & r_bit else None  # the bottom node alive, once known
@@ -482,34 +495,20 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                     if bot is None:
                         # it settles after every out-node tight to it, and
                         # before the routed ones it reaches, which are
-                        # decided by now if they were read
-                        routed = to_bottom & ~free & ~dead_out
-                        bot = room and not base[BOT]
-                        bot = bot or base[OUT + r] == base[BOT] and routed >> r & 1
+                        # decided by now if they were read. It is alive if
+                        # it reaches the sink at shift, or a routed out-node,
+                        # out(r) too, not known dead that may offer in the
+                        # zero layer
+                        reach = to_bottom & ~free & ~dead_out
+                        reach &= keen_within[bisect_left(keen, (tight_end - to_bot * n) * n)]
+                        bot = room and not base[BOT] or reach != 0
                         if not bot:
-                            reach = routed & all_in
-                            reach &= keen_within[bisect_left(keen, (tight_end - to_bot * n) * n)]
-                            while reach:
-                                low = reach & -reach
-                                reach ^= low
-                                z = low.bit_length() - 1
-                                an = (to_bot - weight[z]) * n
-                                if an + floor[z] < tight_end:
-                                    k = bisect_left(keys, tight_end - an)
-                                    if below[z] & within[k] & live_in:
-                                        bot = True
-                                        break
-                                dead_out |= low
-                                new.append(OUT + z)
-                            else:
-                                dead_in |= r_bit
-                                live_in = ~dead_in
+                            dead_in |= r_bit
                     cand = bot
                 if not cand:
                     dead_out |= 1 << x
                     dead_in |= kids[x]
                     live_in = ~dead_in
-                    new.append(OUT + x)
 
         # correct the nodes settled closer than the sink:
         # base += dist - dist(sink)
@@ -557,14 +556,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
             v = u
         else:
             raise InternalError("the augmenting path does not lead back to the source")
-
-        # reset the search state
-        dist[SINK] = dist[BOT] = INF
-        for v in touched:
-            dist[v] = INF
-            prev[v] = SRC
-        for v in new:  # no offer reaches a dead out-node until the phase ends
-            dist[v] = -INF
 
     labels = p.elements
     links = {labels[y]: labels[parent[y]] for y in range(n) if y != r}

@@ -4,16 +4,16 @@ Run from the repository root:
 
     PYTHONPATH=src:tests python tests/kernel_work.py
 
-For each of the seven rows of ROADMAP.md's baseline table it runs
-``optimize._chain_parents`` once and prints the heap pops, the heap
-pushes, the width w and the flow cost, then checks the links with the
-optimality certificate of ``chainforge.certify`` and prints how many of
-its conditions fail. It then checks the kernel's links for the golden
-partitions of ``tests/test_optimize.py`` with the certificate too, which
-takes tier-1 too long. It exits 1 if w or the cost differs from the
-recorded value, if the pops or the pushes exceed it, or if any condition
-fails. The counts repeat exactly from run to run, so the limits cannot
-flake.
+For each of the seven rows of ROADMAP.md's baseline table, and for a
+bottom-first fence, it runs ``optimize._chain_parents`` once and prints
+the heap pops, the heap pushes, the width w and the flow cost, then
+checks the links with the optimality certificate of ``chainforge.certify``
+and prints how many of its conditions fail. It then checks the kernel's
+links for the golden partitions of ``tests/test_optimize.py`` with the
+certificate too, which takes tier-1 too long. It exits 1 if w or the cost
+differs from the recorded value, if the pops or the pushes exceed it, or
+if any condition fails. The counts repeat exactly from run to run, so the
+limits cannot flake.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from chainforge.certify import certificate_violations
 from chainforge.gen import random_policy
 from chainforge.policy import augment_with_maximum
 
-from test_optimize import GOLDEN, fence, kernel_heap_work, total_order
+from test_optimize import GOLDEN, bottom_first, fence, kernel_heap_work, total_order
 
 # row, policy, and the recorded pops, pushes, w and cost
 ROWS = [
@@ -36,6 +36,9 @@ ROWS = [
     ("fence(250, 3, False)", lambda: fence(250, 3, False), 13990, 14420, 250, 1908),
     ("fence(1000, 3, False)", lambda: fence(1000, 3, False), 172483, 174933, 1000, 7440),
     ("total_order(1200, 1, False)", lambda: total_order(1200, 1, False), 2642, 5662, 1, 3024),
+    # not a baseline row: a bottom-first fence, the shape on which the dead
+    # mask's rule for the bottom node shows in the pops
+    ("bottom_first(fence(250, 3, False))", lambda: bottom_first(fence(250, 3, False)), 9632, 10082, 250, 1908),
 ]
 
 

@@ -642,6 +642,16 @@ class TestKernelWork:
         policy = with_maximum_at(sparse_users(random_policy(34, 0.2, 1243), 1243, share=0.3), 1)
         assert self.heap_pops(policy) == 364
 
+    def test_bottom_node_decided_from_its_reach(self):
+        # the dead-mask pass counts the bottom node alive only while it
+        # reaches the sink or a routed out-node not known dead that may
+        # offer in the zero layer. 18 703 pops and 19 562 pushes when it is
+        # always counted alive; 9 677 pops when it is decided once before
+        # the pass rather than when the pass first needs it
+        pops, pushes = self.heap_work(bottom_first(fence(250, 3, False)))
+        assert pops <= 9632
+        assert pushes <= 10082
+
     def test_give_back_offers_again(self):
         # a give-back lets out(x) offer to in(y) again, and that offer
         # settles y before the sink; x's floor, the least key below x when
