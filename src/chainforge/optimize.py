@@ -56,13 +56,10 @@ class OptimizationResult:
     kmax: int
 
 
-def _reorder(
-    keys: list[int], bits: list[int], within: list[int], old: list[int], new: list[int], n: int
-) -> None:
+def _reorder(keys: list[int], within: list[int], old: list[int], new: list[int], n: int) -> None:
     """Move the keys ``old`` to ``new`` in a sorted index of keys
-    rank * n + id, with each key's id bit in ``bits`` and the prefix masks
-    ``within``: one re-sort of the segment they span, one rebuild of its
-    masks."""
+    rank * n + id, with the prefix masks ``within`` of their id bits: one
+    re-sort of the segment they span, one rebuild of its masks."""
     lo = bisect_left(keys, min(min(old), min(new)))
     hi = bisect_right(keys, max(max(old), max(new)))
     gone = set(old)
@@ -70,8 +67,7 @@ def _reorder(
     seg += new
     seg.sort()
     keys[lo:hi] = seg
-    bits[lo:hi] = [1 << k % n for k in seg]
-    within[lo : hi + 1] = accumulate(bits[lo:hi], or_, initial=within[lo])
+    within[lo : hi + 1] = accumulate((1 << k % n for k in seg), or_, initial=within[lo])
 
 
 def _least_prefix(within: list[int], mask: int, hi: int) -> int:
@@ -197,21 +193,22 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     bottom node is saturated.
 
     A phase is a run of searches that find the sink at the same distance,
-    shift. Within it no node settles closer than the sink, so no
-    potential moves, and a search settles only nodes at distance shift,
-    the zero layer. A node is dead if it cannot reach the sink over
-    residual edges of zero reduced cost. An augmentation only removes
-    edges, plus the reversed path edges, which leave path nodes, and those
-    were alive, so a dead node stays dead until the phase ends. A dead
-    node reaches only dead nodes at distance shift, and its other offers
-    lie above the sink's key, which pops first. So a search that skips
-    the dead nodes pops the live ones in the same order, from the same
-    predecessors, and finds the same path. Once 3n / 2w searches in a row
-    have found the sink at shift, each search logs the out-nodes it
-    settles with their offers at shift, and if it finds the sink at shift,
-    learns from them, in reverse settle order: out(x) is dead if every
-    in-node it offers shift to is dead and, if it relaxes the bottom node
-    to shift, so is the bottom node; in(y) is dead with its chain
+    shift. Within it no node settles closer than the sink, so no potential
+    moves, and a search settles only nodes at distance shift, the zero
+    layer. A node is dead if it cannot reach the sink over residual edges
+    of zero reduced cost. An augmentation only removes edges, plus the
+    reversed path edges, which leave path nodes, and those were alive, so
+    a dead node stays dead until the phase ends. A dead node reaches only
+    dead nodes at distance shift, and its other offers lie above the
+    sink's key, which pops first. So a search that skips the dead nodes
+    pops the live ones in the same order, from the same predecessors, and
+    finds the same path. Once 3n / 2w searches in a row have found the
+    sink at shift, each search logs the out-nodes it settles with their
+    offers at shift, cut to the zero layer as they are logged, and if it
+    finds the sink at shift, learns from them, in reverse settle order,
+    only masking those offers with the dead in-nodes: out(x) is dead if
+    every in-node it offers shift to is dead and, if it relaxes the bottom
+    node to shift, so is the bottom node; in(y) is dead with its chain
     parent's out-node, its one way out. A node not settled counts as
     alive. The bottom node is decided at most once a pass, from the masks
     alone, when an out-node that relaxes it to shift has no live offer: it
@@ -278,12 +275,11 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     dist[OUT:BOT] = [0] * n
     dist[SRC] = -1  # the source's heap entry is the end of the zero layer
     prev = [SRC] * size
-    # the in-nodes as sorted keys (b(y), y), their bits and the prefix
-    # masks: within[k] holds the first k of them
+    # the in-nodes as sorted keys (b(y), y) and their prefix masks:
+    # within[k] holds the first k of them
     offset = [0] + weight  # b(y) by in-node id
     keys = sorted(weight[y] * n + y for y in range(n) if y != r)
-    bits = [1 << k % n for k in keys]
-    within = list(accumulate(bits, or_, initial=0))
+    within = list(accumulate((1 << k % n for k in keys), or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
     # floor[x] <= b(y) * n + y for every in-node y in below[x], for the
     # whole call: the least key in below[x] now, as keys only grow, taken
@@ -311,11 +307,11 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     touched = []
     for _ in range(n - 1 + w):
         while True:  # a search, run again without the dead mask if it leaves the phase
-            # reset what the last search left
+            # reset what the last search left; not the predecessors, as every
+            # reach writes one, and only the stream reaches a free out-node
             dist[SINK] = dist[BOT] = INF
             for v in touched:
                 dist[v] = INF
-                prev[v] = SRC
             touched = []
             # a bound on the sink's shifted distance, which is its true one as
             # its base is 0: the path source -> out(x) -> bottom -> sink costs 0
@@ -329,15 +325,13 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
             heap = [INF]  # an end mark: nothing is pushed at INF
             # the zero layer: keys at distance shift, offers below tight_end.
             # While zero, the search logs the out-nodes it settles: (x, du,
-            # cand), cand holding the offers at shift, and more if the bound
-            # is above the zero layer
+            # cand), cand holding the offers at shift
             live, unreached = free, all_in
-            zero = masked = run >= lasted
+            zero = run >= lasted
             if zero:
                 tight_end = (shift + 1) * n
                 log = []
-                masked = dead_in or dead_out
-                if masked:
+                if dead_in or dead_out:
                     # only the zero layer is searched, up to the source's
                     # key at shift, which no node takes
                     heap.insert(0, shift * size + SRC)
@@ -433,7 +427,12 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                         k = bisect_right(keys, bound - an)
                         cand = (below[x] ^ kids[x]) & within[k]
                     if zero:
-                        log.append((x, du, cand))
+                        # cut to the zero layer: a bound in it cuts none before
+                        # an out-node settles, as the in-node that set it pops next
+                        if cand and bound >= tight_end:
+                            log.append((x, du, cand & within[bisect_left(keys, tight_end - an)]))
+                        else:
+                            log.append((x, du, cand))
                     if cand:
                         free_in = cand & unmatched
                         if free_in:
@@ -479,18 +478,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
         if zero and run:  # the sink was found at shift: learn the dead nodes
             to_bot = shift + base[BOT]  # du of an out-node tight to the bottom node
             bot = False if dead_in & r_bit else None  # the bottom node alive, once known
-            live_in = ~dead_in
             for x, du, cand in reversed(log):
-                cand &= live_in
-                if cand and not masked:
-                    # the offers at shift: a bound in the zero layer cuts none
-                    # before an out-node settles, as the in-node that set it
-                    # pops next
-                    an = (du - weight[x]) * n
-                    if an + floor[x] < tight_end:
-                        cand &= within[bisect_left(keys, tight_end - an)]
-                    else:
-                        cand = 0
+                cand &= ~dead_in
                 if not cand and du == to_bot and not to_bottom >> x & 1:
                     if bot is None:
                         # it settles after every out-node tight to it, and
@@ -508,7 +497,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                 if not cand:
                     dead_out |= 1 << x
                     dead_in |= kids[x]
-                    live_in = ~dead_in
 
         # correct the nodes settled closer than the sink:
         # base += dist - dist(sink)
@@ -523,7 +511,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
             old = [offset[v] * n + v - 1 for v in moved]
             for v in moved:
                 offset[v] = weight[v - 1] - base[v]
-            _reorder(keys, bits, within, old, [offset[v] * n + v - 1 for v in moved], n)
+            _reorder(keys, within, old, [offset[v] * n + v - 1 for v in moved], n)
         shift = d
 
         # push one unit along the path, walking back from the sink

@@ -1,29 +1,28 @@
-"""Count the heap work of one chain-parent kernel call on the baseline rows.
+"""Count the heap work of one chain-parent kernel call on the baseline rows
+and the goldens.
 
 Run from the repository root:
 
     PYTHONPATH=src:tests python tests/kernel_work.py
 
-For each of the seven rows of ROADMAP.md's baseline table, and for a
-bottom-first fence, it runs ``optimize._chain_parents`` once and prints
-the heap pops, the heap pushes, the width w and the flow cost, then
-checks the links with the optimality certificate of ``chainforge.certify``
-and prints how many of its conditions fail. It then checks the kernel's
-links for the golden partitions of ``tests/test_optimize.py`` with the
-certificate too, which takes tier-1 too long. It exits 1 if w or the cost
-differs from the recorded value, if the pops or the pushes exceed it, or
-if any condition fails. The counts repeat exactly from run to run, so the
-limits cannot flake.
+For each of the seven rows of ROADMAP.md's baseline table, for a
+bottom-first fence, and for each golden partition of
+``tests/test_optimize.py``, it runs ``optimize._chain_parents`` once,
+counting its heap operations, and prints the heap pops, the heap pushes,
+the width w and the flow cost. It then checks the links of that same call
+with the optimality certificate of ``chainforge.certify``, which takes
+tier-1 too long on the goldens, and prints how many of its conditions
+fail. It exits 1 if w or the cost differs from the recorded value, if the
+pops or the pushes exceed it, or if any condition fails. The counts repeat
+exactly from run to run, so the limits cannot flake.
 """
 
 from __future__ import annotations
 
 import sys
 
-from chainforge import optimize
 from chainforge.certify import certificate_violations
 from chainforge.gen import random_policy
-from chainforge.policy import augment_with_maximum
 
 from test_optimize import GOLDEN, bottom_first, fence, kernel_heap_work, total_order
 
@@ -42,12 +41,29 @@ ROWS = [
 ]
 
 
+# golden, and its recorded pops and pushes; its w and cost are GOLDEN's
+GOLDEN_WORK = {
+    "random_policy(400, 0.05, 1)": (45884, 51964),
+    "random_policy(400, 0.05, 2)": (36729, 42779),
+    "random_policy(800, 0.05, 1)": (110207, 128392),
+    "fence(500)": (46630, 47526),
+    "total_order(1200)": (2634, 5039),
+    "bottom_first(fence(400))": (22269, 23227),
+    "sparse_users(fence(400))": (580311, 584702),
+    "total_order(400)": (928, 1760),
+    "sparse_users(random_policy(400, 0.05))": (27208, 34386),
+    "with_maximum_at(random_policy(300, 0.05), 150)": (24358, 29238),
+}
+
+
 def main() -> int:
+    goldens = [
+        (f"golden {name}", make, *GOLDEN_WORK[name], w, cost)
+        for name, make, _, _, w, cost in GOLDEN
+    ]
     bad = 0
-    for name, make, max_pops, max_pushes, want_w, want_cost in ROWS:
-        pops, pushes, w, cost = kernel_heap_work(make())
-        work = augment_with_maximum(make())[0]
-        links, _, _, potentials = optimize._chain_parents(work)
+    for name, make, max_pops, max_pushes, want_w, want_cost in ROWS + goldens:
+        pops, pushes, work, (links, w, cost, potentials) = kernel_heap_work(make())
         violations = len(certificate_violations(work, links, w, potentials))
         ok = pops <= max_pops and pushes <= max_pushes and (w, cost) == (want_w, want_cost)
         ok = ok and not violations
@@ -57,12 +73,6 @@ def main() -> int:
             f" w {w} ({want_w}), cost {cost} ({want_cost}), {violations} certificate violations"
             f"{'' if ok else '  FAILED'}"
         )
-    for name, make, *_ in GOLDEN:
-        work = augment_with_maximum(make())[0]
-        links, w, _, potentials = optimize._chain_parents(work)
-        violations = len(certificate_violations(work, links, w, potentials))
-        bad += bool(violations)
-        print(f"golden {name}: {violations} certificate violations{'  FAILED' if violations else ''}")
     print(f"{len(ROWS)} rows and {len(GOLDEN)} goldens, {bad} failed")
     return 1 if bad else 0
 

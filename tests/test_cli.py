@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -638,3 +639,90 @@ class TestUsage:
         assert proc.returncode == 0
         assert "khat: 13" in proc.stdout.splitlines()
         assert proc.stderr == ""
+
+
+class TestMutatedInputs:
+    """Seeded mutations of the demo's policy, partition and bundle texts,
+    fed in process to every command that reads them: each run exits 0, 2,
+    3 or 4 and raises nothing, so no input ends in a traceback."""
+
+    # what the mutations insert: separators, header and bundle words,
+    # digits, a label, and a non-ASCII letter
+    PIECES = (" ", "\t", "\n", ">", "=", "#", ":", "-", "0", "7", "ff", "x", "a", "h", "é",
+              "elements:", "covers:", "users:", "secret")
+    # the texts each command reads; the mutated one is drawn from them
+    READS = {
+        "analyze": ("policy",),
+        "partition": ("policy",),
+        "oracle": ("policy",),
+        "evaluate": ("policy", "partition"),
+        "setup": ("policy", "partition"),
+        "derive": ("policy", "partition", "bundle"),
+    }
+
+    @classmethod
+    def mutate(cls, rng, text):
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            if rng.random() < 0.5:
+                # a space-separated token is dropped, repeated or replaced by another
+                tokens = text.split(" ")
+                k = rng.randrange(len(tokens))
+                op = rng.randrange(3)
+                if op == 0:
+                    del tokens[k]
+                elif op == 1:
+                    tokens.insert(k, tokens[k])
+                else:
+                    tokens[k] = rng.choice(tokens)
+                text = " ".join(tokens)
+                continue
+            # a span is dropped, a piece inserted, a line repeated, or a
+            # character replaced by a piece
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(4)
+            if op == 0:
+                text = text[:i] + text[i + rng.randint(1, 4):]
+            elif op == 1:
+                text = text[:i] + rng.choice(cls.PIECES) + text[i:]
+            elif op == 2:
+                lines = text.splitlines(keepends=True) or [""]
+                k = rng.randrange(len(lines))
+                text = "".join(lines[: k + 1] + lines[k:])
+            else:
+                text = text[:i] + rng.choice(cls.PIECES) + text[i + 1:]
+        return text
+
+    def test_every_run_exits_with_a_documented_code(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHAINFORGE_CI", "1")
+        demo, part = tmp_path / "demo.policy", tmp_path / "demo.partition"
+        demo.write_text(DEMO)
+        part.write_text(PART_C)
+        keys = tmp_path / "keys"
+        assert run(capsys, "setup", str(demo), str(part), "--seed", "00", "--export", str(keys))[0] == 0
+        valid = {"policy": DEMO, "partition": PART_C, "bundle": (keys / "bundle-h.txt").read_text()}
+        paths = {name: tmp_path / f"probe.{name}" for name in valid}
+        policy, partition, bundle = (str(paths[name]) for name in ("policy", "partition", "bundle"))
+        rng = random.Random(2023)
+        codes = {command: set() for command in self.READS}
+        for i in range(420):
+            command = list(self.READS)[i % len(self.READS)]
+            texts = dict(valid)
+            mutated = rng.choice(self.READS[command])
+            texts[mutated] = self.mutate(rng, texts[mutated])
+            for name, text in texts.items():
+                paths[name].write_text(text, encoding="utf-8")
+            label = rng.choice("abcdefgh")
+            argv = {
+                "analyze": [policy],
+                "partition": [policy],
+                "oracle": [policy],
+                "evaluate": [policy, partition, "--phi", label],
+                "setup": [policy, partition, "--seed", "00", "--export", str(tmp_path / "out")],
+                "derive": [policy, partition, bundle, label],
+            }[command]
+            code = run(capsys, command, *argv)[0]
+            assert code in (0, 2, 3, 4), (command, mutated, texts[mutated])
+            codes[command].add(code)
+        # every command both succeeds and refuses, so the mutations neither
+        # break every text nor leave every text valid
+        assert all({0, 2} <= got for got in codes.values()), codes

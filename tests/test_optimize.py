@@ -516,6 +516,13 @@ class TestDeadMaskAgainstFlowOracle:
             self.assert_same(fence(tops, seed, False))
             self.assert_same(bottom_first(fence(tops, seed, True)))
 
+    def test_masked_bound_ends_at_the_layers_last_key(self):
+        # a masked search's bound is the zero layer's last key, in-node
+        # n - 1 at the phase's distance; one key lower, the kernel picks
+        # links other than the oracle's, of the same cost, on both
+        self.assert_same(with_maximum_at(sparse_users(random_policy(41, 0.1, 716), 716, 0.3), 29))
+        self.assert_same(with_maximum_at(sparse_users(random_policy(49, 0.05, 5310), 5310), 29))
+
 
 # partitions too large for the flow oracle, pinned by the sha256 of their
 # text and their metrics
@@ -561,7 +568,8 @@ class TestGoldenPartitions:
 
 
 def kernel_heap_work(policy):
-    """Heap pops, heap pushes, w and cost of one kernel call on the policy."""
+    """Heap pops and heap pushes of one kernel call on the policy, the
+    augmented policy it ran on, and the call's four results."""
     pops = pushes = 0
     pop, push = heapq.heappop, heapq.heappush
 
@@ -579,12 +587,12 @@ def kernel_heap_work(policy):
     # the kernel looks both up in heapq when it is called
     heapq.heappop, heapq.heappush = counted_pop, counted_push
     try:
-        _, w, cost, _ = optimize._chain_parents(work)
+        result = optimize._chain_parents(work)
     finally:
         heapq.heappop, heapq.heappush = pop, push
     # every one of the n - 1 + w searches pops at least the sink
-    assert pushes >= pops >= len(work.poset) - 1 + w
-    return pops, pushes, w, cost
+    assert pushes >= pops >= len(work.poset) - 1 + result[1]
+    return pops, pushes, work, result
 
 
 class TestKernelWork:
@@ -651,6 +659,15 @@ class TestKernelWork:
         pops, pushes = self.heap_work(bottom_first(fence(250, 3, False)))
         assert pops <= 9632
         assert pushes <= 10082
+
+    def test_logged_offers_reach_the_layers_last_key(self):
+        # a logged out-node's offers are cut at the zero layer's end, the
+        # last key, in-node n - 1 at the phase's distance, included; cut
+        # one key short, this policy pops 788 and pushes 1 018
+        policy = with_maximum_at(sparse_users(random_policy(40, 0.2, 2202), 2202), 30)
+        pops, pushes = self.heap_work(policy)
+        assert pops <= 728
+        assert pushes <= 962
 
     def test_give_back_offers_again(self):
         # a give-back lets out(x) offer to in(y) again, and that offer
