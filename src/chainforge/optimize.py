@@ -4,7 +4,8 @@ Pipeline: guarantee a unique maximum (synthetic, zero users, if needed),
 solve the paper's min-cost flow on the poset's bitmasks, whose supply at
 the maximum is the width w that :meth:`Poset.width` computes, read the
 chain-parent links back into a chain partition with exactly w chains,
-strip the synthetic maximum again, and report the metrics.
+strip the synthetic maximum again, and report the metrics. A chain, whose
+one partition the flow would find too, takes its links from its covers.
 
 The result minimizes the total number of issued secrets over all chain
 partitions while no user class ever holds more than w secrets. The flow
@@ -204,9 +205,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     pops the live ones in the same order, from the same predecessors, and
     finds the same path. Once 3n / 2w searches in a row have found the
     sink at shift, each search logs the out-nodes it settles with their
-    offers at shift, cut to the zero layer as they are logged, and if it
-    finds the sink at shift, learns from them, in reverse settle order,
-    only masking those offers with the dead in-nodes: out(x) is dead if
+    offers, and if it finds the sink at shift, learns from them, in
+    reverse settle order, masking those offers with the dead in-nodes and
+    cutting the ones left to the zero layer (``keys`` does not change
+    until the search's corrections, which come after): out(x) is dead if
     every in-node it offers shift to is dead and, if it relaxes the bottom
     node to shift, so is the bottom node; in(y) is dead with its chain
     parent's out-node, its one way out. A node not settled counts as
@@ -325,7 +327,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
             heap = [INF]  # an end mark: nothing is pushed at INF
             # the zero layer: keys at distance shift, offers below tight_end.
             # While zero, the search logs the out-nodes it settles: (x, du,
-            # cand), cand holding the offers at shift
+            # cand, an), cand holding the offers under the bound, and an = a * n
+            # if that bound lay above the zero layer, else None
             live, unreached = free, all_in
             zero = run >= lasted
             if zero:
@@ -427,12 +430,11 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                         k = bisect_right(keys, bound - an)
                         cand = (below[x] ^ kids[x]) & within[k]
                     if zero:
-                        # cut to the zero layer: a bound in it cuts none before
-                        # an out-node settles, as the in-node that set it pops next
-                        if cand and bound >= tight_end:
-                            log.append((x, du, cand & within[bisect_left(keys, tight_end - an)]))
-                        else:
-                            log.append((x, du, cand))
+                        # the offers under a bound in the zero layer lie in it,
+                        # and that bound cut none of it before an out-node settles,
+                        # as the in-node that set it pops next; the learning pass
+                        # cuts those under a bound above it
+                        log.append((x, du, cand, an if bound >= tight_end else None))
                     if cand:
                         free_in = cand & unmatched
                         if free_in:
@@ -463,7 +465,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                             best[v - 1] = a
                             heappush(heap, nd * size + v)
                 elif zero:
-                    log.append((x, du, 0))
+                    log.append((x, du, 0, None))
                 nd = du - base[BOT]
                 if nd < dist[BOT] and not to_bottom >> x & 1:
                     dist[BOT] = nd
@@ -478,8 +480,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
         if zero and run:  # the sink was found at shift: learn the dead nodes
             to_bot = shift + base[BOT]  # du of an out-node tight to the bottom node
             bot = False if dead_in & r_bit else None  # the bottom node alive, once known
-            for x, du, cand in reversed(log):
+            for x, du, cand, an in reversed(log):
                 cand &= ~dead_in
+                if cand and an is not None:  # cut to the zero layer
+                    cand &= within[bisect_left(keys, tight_end - an)]
                 if not cand and du == to_bot and not to_bottom >> x & 1:
                     if bot is None:
                         # it settles after every out-node tight to it, and
@@ -566,14 +570,27 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
     holds more than width secrets. Deterministic: equal-cost optima are
     broken by the solver's fixed path selection, the one
     :func:`min_cost_flow` makes on :func:`build_flow_network`'s network.
+    A chain, read off its cover lists, skips the solver: it has one
+    partition, which the solver would find too.
     """
     if len(policy.poset) == 0:
         raise ValueError("cannot optimize an empty policy")
     work, top, added = augment_with_maximum(policy)
-    links, w, cost, _ = _chain_parents(work)
+    p = work.poset
+    # every label has a cover path up to the maximum, so n - 1 covers form
+    # a tree, and one in which no label has two lower covers is a chain:
+    # width 1 and one partition, which links each label to its one upper
+    # cover at a cost of W(y) - W(cover), the users at y
+    if len(p.covers) == len(p) - 1 and max(map(len, p._children)) <= 1:
+        labels = p.elements
+        links = {labels[y]: labels[ps[0]] for y, ps in enumerate(p._parents) if ps}
+        w = 1
+        cost = sum(work.user_count.values()) - work.count(top)
+    else:
+        links, w, cost, _ = _chain_parents(work)
     # the flow-cost identity; verify_result checks it against three formulas
     khat = w * work.count(top) + cost
-    pi = _chains_from_parents(work.poset, top, w, links)
+    pi = _chains_from_parents(p, top, w, links)
     if added:
         # a synthetic top has w chain children, so it heads the first chain
         # and never stands alone

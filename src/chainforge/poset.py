@@ -156,7 +156,7 @@ class Poset:
             raise DuplicateLabel(f"label {top!r} declared twice")
         n = len(self.elements)
         bit = 1 << n
-        maximal = [i for i, up in enumerate(self._up) if up.bit_count() == 1]
+        maximal = [i for i, ps in enumerate(self._parents) if not ps]
         new = Poset.__new__(Poset)
         new.elements = self.elements + (top,)
         new.covers = self.covers + tuple((self.elements[i], top) for i in maximal)
@@ -214,10 +214,12 @@ class Poset:
         return self._up[self._i(x)].bit_count()
 
     def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(x for x, up in zip(self.elements, self._up) if up.bit_count() == 1)
+        """The labels with no upper cover, in declaration order."""
+        return tuple(x for x, ps in zip(self.elements, self._parents) if not ps)
 
     def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(x for x, down in zip(self.elements, self._down) if down.bit_count() == 1)
+        """The labels with no lower cover, in declaration order."""
+        return tuple(x for x, cs in zip(self.elements, self._children) if not cs)
 
     def maximum(self) -> str | None:
         """The unique maximum element, or None if there is none."""

@@ -4,12 +4,16 @@ Run from the repository root:
 
     PYTHONPATH=src:tests python tests/oracle_sweep.py
 
-Each of the 2 000 policies i has 1 to 40 labels and is one of five
+Each of the first 2 000 policies i has 1 to 40 labels and is one of five
 variants, by i mod 5: plain, sparse users, declared bottom-first, declared
-in a shuffled order, or with a new maximum declared mid-list. The sweep
-prints every policy whose partition text or metrics differ from the
-oracle's, or whose chain-parent links the optimality certificate of
-``chainforge.certify`` rejects, and exits 1 if any does.
+in a shuffled order, or with a new maximum declared mid-list. The 200
+after them are total orders of 1 to 40 labels, which ``optimal_partition``
+reads off their covers without the kernel, declared bottom-first,
+top-first or shuffled, by i mod 3, with users on a tenth, three tenths or
+all of their labels. The sweep prints every policy whose partition text or
+metrics differ from the oracle's, or whose chain-parent links the
+optimality certificate of ``chainforge.certify`` rejects, and exits 1 if
+any does.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from test_optimize import bottom_first, flow_oracle, sparse_users, with_maximum_
 
 COUNT = 2000
 VARIANTS = ("plain", "sparse", "bottom-first", "shuffled", "mid-list maximum")
+CHAINS = 200
+CHAIN_VARIANTS = ("chain, bottom-first", "chain, top-first", "chain, shuffled")
 
 
 def shuffled(policy: Policy, rng: random.Random) -> Policy:
@@ -36,7 +42,24 @@ def shuffled(policy: Policy, rng: random.Random) -> Policy:
     return Policy(Poset(labels, policy.poset.covers), policy.user_count)
 
 
+def chain_policy(i: int) -> Policy:
+    """A total order of 1 to 40 labels with sparse users."""
+    rng = random.Random(i)
+    n = rng.randint(1, 40)
+    labels = [f"c{k}" for k in range(n)]
+    covers = [(labels[k], labels[k + 1]) for k in range(n - 1)]
+    variant = i % len(CHAIN_VARIANTS)
+    if variant == 1:
+        labels.reverse()
+    elif variant == 2:
+        rng.shuffle(labels)
+    share = rng.choice((0.1, 0.3, 1.0))
+    return Policy(Poset(labels, covers), {x: rng.randint(1, 5) for x in labels if rng.random() < share})
+
+
 def sweep_policy(i: int) -> Policy:
+    if i >= COUNT:
+        return chain_policy(i)
     rng = random.Random(i)
     n = rng.randint(1, 40)
     policy = random_policy(n, rng.choice((0.05, 0.1, 0.2, 0.3, 0.5, 0.8)), seed=i)
@@ -52,9 +75,15 @@ def sweep_policy(i: int) -> Policy:
     return policy
 
 
+def variant_name(i: int) -> str:
+    if i >= COUNT:
+        return CHAIN_VARIANTS[i % len(CHAIN_VARIANTS)]
+    return VARIANTS[i % len(VARIANTS)]
+
+
 def main() -> int:
     bad = 0
-    for i in range(COUNT):
+    for i in range(COUNT + CHAINS):
         policy = sweep_policy(i)
         got, want = optimal_partition(policy), flow_oracle(policy)
         same = partition_text(got.partition) == partition_text(want.partition) and (
@@ -66,10 +95,10 @@ def main() -> int:
         if not same or not certified:
             bad += 1
             print(
-                f"policy {i} ({VARIANTS[i % len(VARIANTS)]}, {len(policy.poset)} labels)"
+                f"policy {i} ({variant_name(i)}, {len(policy.poset)} labels)"
                 f" {'differs' if not same else 'is not certified'}"
             )
-    print(f"{COUNT} policies, {bad} differing from the flow oracle or not certified")
+    print(f"{COUNT + CHAINS} policies, {bad} differing from the flow oracle or not certified")
     return 1 if bad else 0
 
 

@@ -55,7 +55,7 @@ def single_link_mutants(work, links, w):
 
 class TestCertificate:
     def test_small_policies(self):
-        # tests/oracle_sweep.py certifies 2 000 more in CI
+        # tests/oracle_sweep.py certifies 2 200 more in CI
         for policy in random_policies(60, 30, seed=601):
             assert certified(policy)
             assert certified(sparse_users(policy, 7))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import heapq
 import random
+from collections import Counter
 
 import pytest
 
@@ -522,6 +523,94 @@ class TestDeadMaskAgainstFlowOracle:
         # links other than the oracle's, of the same cost, on both
         self.assert_same(with_maximum_at(sparse_users(random_policy(41, 0.1, 716), 716, 0.3), 29))
         self.assert_same(with_maximum_at(sparse_users(random_policy(49, 0.05, 5310), 5310), 29))
+
+
+def kernel_result(policy):
+    """optimal_partition's answer computed through ``_chain_parents``
+    whatever the poset's width."""
+    work, top, added = augment_with_maximum(policy)
+    links, w, cost, _ = optimize._chain_parents(work)
+    pi = optimize._chains_from_parents(work.poset, top, w, links)
+    if added:
+        pi = ChainPartition((pi.chains[0][1:],) + pi.chains[1:])
+    return OptimizationResult(
+        partition=pi,
+        khat=w * work.count(top) + cost,
+        width=w,
+        flow_cost=cost,
+        kmax=max_bundle_size(policy, pi),
+    )
+
+
+def chain_variants(n, seed):
+    """A total order of n labels declared bottom-first, top-first and
+    shuffled, each with random, zero and 400-digit user counts."""
+    rng = random.Random(seed)
+    base = total_order(n, seed, False)
+    labels = list(base.poset.elements)
+    rng.shuffle(labels)
+    for poset in (
+        base.poset,
+        total_order(n, seed, True).poset,
+        Poset(labels, base.poset.covers),
+    ):
+        yield Policy(poset, base.user_count)
+        yield Policy(poset)
+        yield Policy(poset, {x: 10**400 + rng.randint(0, 5) for x in labels})
+
+
+class TestWidthOne:
+    """A chain takes its links from its covers, without the kernel; the
+    answer must be the kernel's and the flow oracle's."""
+
+    @staticmethod
+    def same(got, want):
+        assert partition_text(got.partition) == partition_text(want.partition)
+        assert (got.khat, got.width, got.kmax, got.flow_cost) == (
+            want.khat, want.width, want.kmax, want.flow_cost,
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 200, 1200])
+    def test_against_the_kernel(self, n):
+        for policy in chain_variants(n, n):
+            self.same(optimal_partition(policy), kernel_result(policy))
+
+    @pytest.mark.parametrize("n", [1, 2, 60, 200])
+    def test_against_the_flow_oracle(self, n):
+        # the oracle takes about 20 s on 1 200 labels; the golden
+        # total_order(1200) pins that size
+        for i, policy in enumerate(chain_variants(n, n)):
+            if n < 200 or i % 3 == 0:
+                self.same(optimal_partition(policy), flow_oracle(policy))
+
+    def test_skips_the_kernel_and_the_width(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called on a chain")
+
+        monkeypatch.setattr(optimize, "_chain_parents", refuse)
+        monkeypatch.setattr(Poset, "width", refuse)
+        for n in (1, 2, 60):
+            for policy in chain_variants(n, n):
+                assert optimal_partition(policy).width == 1
+
+    def test_trees_with_n_minus_1_covers_take_the_kernel(self, monkeypatch):
+        # n - 1 covers, but a label with two lower covers, or two maximal
+        # labels, which a synthetic top joins with two more covers
+        calls = Counter()
+        kernel = optimize._chain_parents
+
+        def counted(work):
+            calls["n"] += 1
+            return kernel(work)
+
+        monkeypatch.setattr(optimize, "_chain_parents", counted)
+        vee = Poset(["a", "b", "top"], [("a", "top"), ("b", "top")])
+        wedge = Poset(["bot", "a", "b"], [("bot", "a"), ("bot", "b")])
+        for policy in (Policy.unit(vee), Policy.unit(wedge), fence(3, 0, False), fence(40, 1, True)):
+            assert len(policy.poset.covers) == len(policy.poset) - 1
+            self.same(optimal_partition(policy), flow_oracle(policy))
+        # each policy once in optimal_partition
+        assert calls["n"] == 4
 
 
 # partitions too large for the flow oracle, pinned by the sha256 of their

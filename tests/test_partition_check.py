@@ -388,6 +388,10 @@ class TestCheckBudget:
     @pytest.mark.parametrize("policy, has_maximum", [
         (Policy.unit(Poset(["lo", "mid", "hi"], [("lo", "mid"), ("mid", "hi")])), True),
         (random_policy(40, 0.15, seed=1311), False),  # gets a synthetic top
+        # total orders, which take their one partition from the covers
+        (Policy.unit(Poset([f"c{i}" for i in range(200)][::-1],
+                           [(f"c{i}", f"c{i + 1}") for i in range(199)])), True),
+        (Policy(Poset(["solo"]), {"solo": 3}), True),
     ])
     def test_partition_op(self, checks, policy, has_maximum):
         assert (policy.poset.maximum() is not None) == has_maximum
