@@ -146,10 +146,12 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     An out-node x settled at distance d offers each in-node y below it
     a + b(y), with a = d + base(out x) - W(x), so its offers are one mask
     operation on x's down-set: in-nodes not yet reached take it, reached
-    ones only if a is below their best offer so far. Offers are cut by a
-    bound on the sink, kept as an in-node key (distance) * n + y in the
-    heap's order: an offer after it is never settled before the sink, and
-    its node's potential moves by the sink's distance either way. A
+    ones only if a is below their best offer so far. A best offer only
+    falls, so once a is at least the largest a handed out in the search,
+    no reached in-node is asked. Offers are cut by a bound on the sink,
+    kept as an in-node key (distance) * n + y in the heap's order: an
+    offer after it is never settled before the sink, and its node's
+    potential moves by the sink's distance either way. A
     search's bound opens at distance 0, any y, while the bottom node has
     room and a free out-node is not routed to it, as the path through them
     costs 0 and the sink is pushed only when the bottom node, the last at
@@ -161,9 +163,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     the sink and its base stays 0; it pushes the sink at its own distance
     when it pops, ahead of every later key. So before x offers, the bound
     is lowered to x's least offer to an unmatched in-node, found by
-    :func:`_least_prefix` among the in-nodes under the bound, and x's
-    offers after it are cut. None of the offers x then makes could lower
-    the bound further.
+    :func:`_least_prefix` among the in-nodes under the bound, or, when x
+    offers to only one, by one bisection for its key, fixed at
+    W(y) * n + y, and x's offers after it are cut. None of the offers x
+    then makes could lower the bound further.
 
     Each out-node x also has a floor: the least key b(y) * n + y below x
     when the call starts, taken in one pass up the covers. It bounds every
@@ -280,7 +283,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     # the in-nodes as sorted keys (b(y), y) and their prefix masks:
     # within[k] holds the first k of them
     offset = [0] + weight  # b(y) by in-node id
-    keys = sorted(weight[y] * n + y for y in range(n) if y != r)
+    fixed_key = [weight[y] * n + y for y in range(n)]  # an unmatched in-node's key
+    keys = sorted(fixed_key[:r] + fixed_key[r + 1 :])
     within = list(accumulate((1 << k % n for k in keys), or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
     # floor[x] <= b(y) * n + y for every in-node y in below[x], for the
@@ -348,6 +352,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
             queue = live & keen_within[bisect_left(keen, (bound + 1) * n)] | idle
             nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
             pending = 0
+            top_a = -INF  # the largest a handed to an in-node in this search
             settled = []  # heap keys of the nodes settled before the sink, in order
             left = False  # the search left the zero layer under a dead mask
 
@@ -441,20 +446,27 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                             # an unmatched in-node's base is 0, so the cheapest
                             # offer to one bounds the sink, and every offer
                             # after it in key order is cut
-                            hi = _least_prefix(within, free_in, k)
+                            if free_in & (free_in - 1):
+                                hi = _least_prefix(within, free_in, k)
+                            else:  # a lone one: its key is fixed
+                                hi = bisect_right(keys, fixed_key[free_in.bit_length() - 1], 0, k)
                             bound = an + keys[hi - 1]
                             cand &= within[hi]
-                            cut = bisect_left(keen, (bound - lift * n + 1) * n)
-                            queue &= keen_within[cut] | idle
-                            nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
+                            if queue:
+                                cut = bisect_left(keen, (bound - lift * n + 1) * n)
+                                queue &= keen_within[cut] | idle
+                                nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
                         better = cand & unreached
-                        old = cand & pending
                         unreached ^= better
-                        while old:
-                            low = old & -old
-                            old ^= low
-                            if a < best[low.bit_length() - 1]:
-                                better |= low
+                        if a < top_a:  # else no pending in-node's best offer is above a
+                            old = cand & pending
+                            while old:
+                                low = old & -old
+                                old ^= low
+                                if a < best[low.bit_length() - 1]:
+                                    better |= low
+                        if better and a > top_a:
+                            top_a = a
                         pending |= better
                         while better:
                             low = better & -better

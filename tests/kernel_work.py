@@ -6,53 +6,62 @@ Run from the repository root:
     PYTHONPATH=src:tests python tests/kernel_work.py
 
 For each of the seven rows of ROADMAP.md's baseline table, for a
-bottom-first fence, and for each golden partition of
-``tests/test_optimize.py``, it runs ``optimize._chain_parents`` once,
-counting its heap operations, and prints the heap pops, the heap pushes,
-the width w and the flow cost. It then checks the links of that same call
-with the optimality certificate of ``chainforge.certify``, which takes
-tier-1 too long on the goldens, and prints how many of its conditions
-fail. It exits 1 if w or the cost differs from the recorded value, if the
-pops or the pushes exceed it, or if any condition fails. The counts repeat
-exactly from run to run, so the limits cannot flake.
+bottom-first fence, for a total order without users, and for each golden
+partition of ``tests/test_optimize.py``, it runs
+``optimize._chain_parents`` once, counting its heap operations and its
+``_least_prefix`` searches, and prints the heap pops, the heap pushes, the
+searches, the width w and the flow cost. It then checks the links of that
+same call with the optimality certificate of ``chainforge.certify``, which
+takes tier-1 too long on the goldens, and prints how many of its
+conditions fail. It exits 1 if w or the cost differs from the recorded
+value, if the pops, the pushes or the searches exceed it, or if any
+condition fails. The counts repeat exactly from run to run, so the limits
+cannot flake.
 """
 
 from __future__ import annotations
 
 import sys
 
+from chainforge import Policy
 from chainforge.certify import certificate_violations
 from chainforge.gen import random_policy
 
 from test_optimize import GOLDEN, bottom_first, fence, kernel_heap_work, total_order
 
-# row, policy, and the recorded pops, pushes, w and cost
+# row, policy, and the recorded pops, pushes, prefix searches, w and cost
 ROWS = [
-    ("random_policy(100, 0.2, 1)", lambda: random_policy(100, 0.2, seed=1), 2034, 2776, 9, 1562),
-    ("random_policy(200, 0.1, 1)", lambda: random_policy(200, 0.1, seed=1), 6788, 9120, 17, 6569),
-    ("random_policy(400, 0.05, 1)", lambda: random_policy(400, 0.05, seed=1), 45884, 51964, 38, 27590),
-    ("random_policy(800, 0.05, 1)", lambda: random_policy(800, 0.05, seed=1), 110207, 128392, 37, 61373),
-    ("fence(250, 3, False)", lambda: fence(250, 3, False), 13990, 14420, 250, 1908),
-    ("fence(1000, 3, False)", lambda: fence(1000, 3, False), 172483, 174933, 1000, 7440),
-    ("total_order(1200, 1, False)", lambda: total_order(1200, 1, False), 2642, 5662, 1, 3024),
-    # not a baseline row: a bottom-first fence, the shape on which the dead
-    # mask's rule for the bottom node shows in the pops
-    ("bottom_first(fence(250, 3, False))", lambda: bottom_first(fence(250, 3, False)), 9632, 10082, 250, 1908),
+    ("random_policy(100, 0.2, 1)", lambda: random_policy(100, 0.2, seed=1), 2034, 2776, 148, 9, 1562),
+    ("random_policy(200, 0.1, 1)", lambda: random_policy(200, 0.1, seed=1), 6788, 9120, 386, 17, 6569),
+    ("random_policy(400, 0.05, 1)", lambda: random_policy(400, 0.05, seed=1), 45884, 51964, 753, 38, 27590),
+    ("random_policy(800, 0.05, 1)", lambda: random_policy(800, 0.05, seed=1), 110207, 128392, 1776, 37, 61373),
+    ("fence(250, 3, False)", lambda: fence(250, 3, False), 13990, 14420, 281, 250, 1908),
+    ("fence(1000, 3, False)", lambda: fence(1000, 3, False), 172483, 174933, 1088, 1000, 7440),
+    ("total_order(1200, 1, False)", lambda: total_order(1200, 1, False), 2642, 5662, 0, 1, 3024),
+    # not baseline rows: a bottom-first fence, the shape on which the dead
+    # mask's rule for the bottom node shows in the pops, and a total order
+    # without users declared bottom-first, on which every search finds the
+    # sink at distance 0 and the dead mask never starts, as it waits 3n / 2w
+    # searches: about n^2 / 2 pops
+    ("bottom_first(fence(250, 3, False))", lambda: bottom_first(fence(250, 3, False)), 9632, 10082, 283, 250, 1908),
+    ("Policy(total_order(1200, 1, False).poset)", lambda: Policy(total_order(1200, 1, False).poset),
+     720601, 1440001, 0, 1, 0),
 ]
 
 
-# golden, and its recorded pops and pushes; its w and cost are GOLDEN's
+# golden, and its recorded pops, pushes and prefix searches; its w and cost
+# are GOLDEN's
 GOLDEN_WORK = {
-    "random_policy(400, 0.05, 1)": (45884, 51964),
-    "random_policy(400, 0.05, 2)": (36729, 42779),
-    "random_policy(800, 0.05, 1)": (110207, 128392),
-    "fence(500)": (46630, 47526),
-    "total_order(1200)": (2634, 5039),
-    "bottom_first(fence(400))": (22269, 23227),
-    "sparse_users(fence(400))": (580311, 584702),
-    "total_order(400)": (928, 1760),
-    "sparse_users(random_policy(400, 0.05))": (27208, 34386),
-    "with_maximum_at(random_policy(300, 0.05), 150)": (24358, 29238),
+    "random_policy(400, 0.05, 1)": (45884, 51964, 753),
+    "random_policy(400, 0.05, 2)": (36729, 42779, 734),
+    "random_policy(800, 0.05, 1)": (110207, 128392, 1776),
+    "fence(500)": (46630, 47526, 553),
+    "total_order(1200)": (2634, 5039, 0),
+    "bottom_first(fence(400))": (22269, 23227, 442),
+    "sparse_users(fence(400))": (580311, 584702, 440),
+    "total_order(400)": (928, 1760, 0),
+    "sparse_users(random_policy(400, 0.05))": (27208, 34386, 571),
+    "with_maximum_at(random_policy(300, 0.05), 150)": (24358, 29238, 622),
 }
 
 
@@ -62,14 +71,15 @@ def main() -> int:
         for name, make, _, _, w, cost in GOLDEN
     ]
     bad = 0
-    for name, make, max_pops, max_pushes, want_w, want_cost in ROWS + goldens:
-        pops, pushes, work, (links, w, cost, potentials) = kernel_heap_work(make())
+    for name, make, max_pops, max_pushes, max_searches, want_w, want_cost in ROWS + goldens:
+        pops, pushes, searches, work, (links, w, cost, potentials) = kernel_heap_work(make())
         violations = len(certificate_violations(work, links, w, potentials))
-        ok = pops <= max_pops and pushes <= max_pushes and (w, cost) == (want_w, want_cost)
-        ok = ok and not violations
+        ok = pops <= max_pops and pushes <= max_pushes and searches <= max_searches
+        ok = ok and (w, cost) == (want_w, want_cost) and not violations
         bad += not ok
         print(
             f"{name}: {pops} pops (at most {max_pops}), {pushes} pushes (at most {max_pushes}),"
+            f" {searches} prefix searches (at most {max_searches}),"
             f" w {w} ({want_w}), cost {cost} ({want_cost}), {violations} certificate violations"
             f"{'' if ok else '  FAILED'}"
         )
