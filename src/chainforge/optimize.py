@@ -452,10 +452,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                                 hi = bisect_right(keys, fixed_key[free_in.bit_length() - 1], 0, k)
                             bound = an + keys[hi - 1]
                             cand &= within[hi]
-                            if queue:
-                                cut = bisect_left(keen, (bound - lift * n + 1) * n)
-                                queue &= keen_within[cut] | idle
-                                nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
+                            cut = bisect_left(keen, (bound - lift * n + 1) * n)
+                            queue &= keen_within[cut] | idle
+                            nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
                         better = cand & unreached
                         unreached ^= better
                         if a < top_a:  # else no pending in-node's best offer is above a
@@ -600,9 +599,20 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
         cost = sum(work.user_count.values()) - work.count(top)
     else:
         links, w, cost, _ = _chain_parents(work)
+    return _result(policy, work, top, added, links, w, cost)
+
+
+def _result(
+    policy: Policy, work: Policy, top: str, added: bool, links: dict[str, str], w: int, cost: int
+) -> OptimizationResult:
+    """The result for ``policy`` of w chains linked by ``links`` in ``work``.
+
+    ``work``, ``top`` and ``added`` are :func:`augment_with_maximum`'s;
+    ``cost`` is the links' flow cost.
+    """
     # the flow-cost identity; verify_result checks it against three formulas
     khat = w * work.count(top) + cost
-    pi = _chains_from_parents(p, top, w, links)
+    pi = _chains_from_parents(work.poset, top, w, links)
     if added:
         # a synthetic top has w chain children, so it heads the first chain
         # and never stands alone

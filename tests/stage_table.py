@@ -7,14 +7,18 @@ Run from the repository root:
 For each of the seven rows of ROADMAP.md's baseline table (the first
 seven rows of ``tests/kernel_work.py``) it takes the CPU time
 (``time.process_time``), best of three calls, of each stage: parsing the
-policy text, building the ``Poset``, its width, the chain-parent kernel,
-decoding its links into chains, ``verify_result``, ``total_secrets``,
-``ces.setup``, one ``derive`` (a maximal label's bundle deriving the key
-of a minimal label below it), and, on the rows of at most 200 labels,
-``correctness_audit``. It prints the table in milliseconds with the
+policy text, building the ``Poset``, its width, ``optimal_partition``
+as a whole, the chain-parent kernel, decoding its links into the result
+(``optimize._result``, as ``optimal_partition`` does), ``verify_result``,
+``total_secrets``, ``ces.setup``, one ``derive`` (a maximal label's
+bundle deriving the key of a minimal label below it), and, on the rows
+of at most 200 labels, ``correctness_audit``. ``optimal_partition``
+takes a width-1 policy's one chain from its covers without the kernel,
+so on such a row (the total order) the kernel cell, marked ``+``, is
+not part of the pipeline. It prints the table in milliseconds with the
 benchmark's speed kernel (``bench/speed.py``) sampled before and after
-it, and writes the same numbers in seconds to ``BENCH_stages.json``. It
-gates nothing.
+it, and writes the same numbers in seconds to ``BENCH_stages.json``,
+with the rows whose kernel is off the pipeline. It gates nothing.
 """
 
 from __future__ import annotations
@@ -26,13 +30,7 @@ from pathlib import Path
 
 from chainforge import ces, optimize
 from chainforge.formats import parse_policy, policy_text
-from chainforge.policy import (
-    ChainPartition,
-    _chains_from_parents,
-    augment_with_maximum,
-    max_bundle_size,
-    total_secrets,
-)
+from chainforge.policy import augment_with_maximum, total_secrets
 from chainforge.poset import Poset
 
 from kernel_work import ROWS
@@ -43,8 +41,8 @@ from speed import REFERENCE_S, SpeedProbe  # noqa: E402
 BASELINE = ROWS[:7]
 AUDIT_MAX_LABELS = 200
 STAGES = (
-    "parse", "poset", "width", "kernel", "decode", "verify_result",
-    "total_secrets", "ces.setup", "derive", "correctness_audit",
+    "parse", "poset", "width", "optimal_partition", "kernel", "decode",
+    "verify_result", "total_secrets", "ces.setup", "derive", "correctness_audit",
 )
 
 
@@ -65,22 +63,17 @@ def stage_times(policy):
     times = {}
     times["parse"], _ = best_of_three(lambda: parse_policy(text))
     times["poset"], _ = best_of_three(lambda: Poset(p.elements, p.covers))
-    times["width"], _ = best_of_three(p.width)
+    times["width"], width = best_of_three(p.width)
+    times["optimal_partition"], _ = best_of_three(lambda: optimize.optimal_partition(policy))
     work, top, added = augment_with_maximum(policy)
     times["kernel"], (links, w, cost, _) = best_of_three(lambda: optimize._chain_parents(work))
-
-    def decode():
-        pi = _chains_from_parents(work.poset, top, w, links)
-        return ChainPartition((pi.chains[0][1:],) + pi.chains[1:]) if added else pi
-
-    times["decode"], pi = best_of_three(decode)
-    result = optimize.OptimizationResult(
-        partition=pi, khat=w * work.count(top) + cost, width=w, flow_cost=cost,
-        kmax=max_bundle_size(policy, pi),
+    times["decode"], result = best_of_three(
+        lambda: optimize._result(policy, work, top, added, links, w, cost)
     )
     times["verify_result"], ok = best_of_three(lambda: optimize.verify_result(policy, result))
     if not ok:
         raise SystemExit("verify_result rejected the kernel's partition")
+    pi = result.partition
     times["total_secrets"], _ = best_of_three(lambda: total_secrets(policy, pi))
     params = ces.SchemeParams()
     times["ces.setup"], material = best_of_three(
@@ -96,7 +89,7 @@ def stage_times(policy):
         )
         if not ok:
             raise SystemExit("correctness_audit rejected the key material")
-    return times
+    return times, width == 1
 
 
 def speed_samples(probe, count=3):
@@ -106,20 +99,28 @@ def speed_samples(probe, count=3):
 def main() -> int:
     probe = SpeedProbe()
     speed = speed_samples(probe)
-    rows = {name: stage_times(make()) for name, make, *_ in BASELINE}
+    rows, off_path = {}, []
+    for name, make, *_ in BASELINE:
+        rows[name], chain = stage_times(make())
+        if chain:
+            off_path.append(name)
     speed += speed_samples(probe)
 
     print(f"speed kernel {min(speed) * 1e3:.1f}-{max(speed) * 1e3:.1f} ms"
-          f" (reference {REFERENCE_S * 1e3:.1f} ms); stage CPU times in ms, best of three")
+          f" (reference {REFERENCE_S * 1e3:.1f} ms); stage CPU times in ms, best of three;"
+          " + marks a kernel that optimal_partition does not call")
     width = max(map(len, rows))
     columns = [(s, max(9, len(s))) for s in STAGES]
     print(" | ".join([f"{'row':<{width}}"] + [f"{s:>{cw}}" for s, cw in columns]))
     for name, times in rows.items():
         cells = [f"{times[s] * 1e3:{cw}.3f}" if s in times else f"{'-':>{cw}}" for s, cw in columns]
+        if name in off_path:
+            k = STAGES.index("kernel")
+            cells[k] = f"{'+' + cells[k].strip():>{columns[k][1]}}"
         print(" | ".join([f"{name:<{width}}"] + cells))
     Path("BENCH_stages.json").write_text(
-        json.dumps({"unit": "s", "speed_kernel_s": speed, "reference_s": REFERENCE_S, "rows": rows},
-                   indent=1) + "\n"
+        json.dumps({"unit": "s", "speed_kernel_s": speed, "reference_s": REFERENCE_S, "rows": rows,
+                    "kernel_off_path": off_path}, indent=1) + "\n"
     )
     return 0
 
