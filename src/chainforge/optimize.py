@@ -112,14 +112,16 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     out-nodes routed to it. Edges back into the source never improve a
     distance.
 
-    Each potential is kept as base(v) + shift, and each search runs in
+    Each potential is kept relative to a shift, and each search runs in
     distances shifted by that same shift, so no search rebuilds O(n)
-    state. After a search every node not settled closer than the sink
-    moves by the sink's distance, which is the new shift; only the nodes
-    settled closer correct their base. The state that depends on the
-    potentials persists across searches and is repaired for those nodes
-    only: the in-nodes sorted by b(y) = W(y) - base(in y), with prefix
-    masks, repaired in one re-sort per search.
+    state. An out-node's or the bottom node's potential is base(v) + shift;
+    an in-node's is W(y) - b(y) + shift, held only as its key b(y). After a
+    search every node not settled closer than the sink moves by the sink's
+    distance, which is the new shift; only the nodes settled closer are
+    corrected, in one pass: base(v) falls and b(y) grows by the sink's
+    distance less the node's. The in-nodes sorted by b(y), with prefix
+    masks, persist across searches and are repaired for those in-nodes
+    only, in one re-sort per search.
 
     Free out-nodes, those with a unit left on their source edge, all sit
     at potential 0. One other than r's has no chain child and is not
@@ -160,7 +162,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     at most sum W(y), since a link x -> y costs W(y) - W(x). The in-nodes
     sorted by b(y) * n + y turn the bound into one more mask. An unmatched
     in-node leads straight to the sink, so it is never settled closer than
-    the sink and its base stays 0; it pushes the sink at its own distance
+    the sink and its b(y) stays W(y); it pushes the sink at its own distance
     when it pops, ahead of every later key. So before x offers, the bound
     is lowered to x's least offer to an unmatched in-node, found by
     :func:`_least_prefix` among the in-nodes under the bound, or, when x
@@ -171,8 +173,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     Each out-node x also has a floor: the least key b(y) * n + y below x
     when the call starts, taken in one pass up the covers. It bounds every
     key below x for the whole call, as b(y) only grows: the correction
-    only lowers the base of a settled in-node, and an unmatched in-node's
-    base stays 0. An out-node whose a * n + floor lies above the bound
+    only raises a settled in-node's, and an unmatched in-node's stays
+    W(y). An out-node whose a * n + floor lies above the bound
     offers nothing and skips the mask work. A free out-node has
     a = -W(x), so it may offer something only if floor(x) - W(x) * n is at
     most the bound: the keen index holds the out-nodes of non-minimal
@@ -269,9 +271,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     INF = float("inf")
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    # the potential of node v is base[v] + shift; the sink's base stays 0
-    # (it is settled at the sink's distance), and neither a free out-node's
-    # nor a shared routed one's is kept
+    # the potential of out-node or bottom node v is base[v] + shift, and of
+    # in(y) W(y) - b(y) + shift; the sink's is shift (it is settled at the
+    # sink's distance), and neither a free out-node's base nor a shared
+    # routed one's is kept
     base = [0] * size
     shift = 0
     # shifted distances and predecessors; a free out-node holds 0 and the
@@ -283,8 +286,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     # the in-nodes as sorted keys (b(y), y) and their prefix masks:
     # within[k] holds the first k of them
     offset = [0] + weight  # b(y) by in-node id
-    fixed_key = [weight[y] * n + y for y in range(n)]  # an unmatched in-node's key
-    keys = sorted(fixed_key[:r] + fixed_key[r + 1 :])
+    keys = sorted(weight[y] * n + y for y in range(n) if y != r)
     within = list(accumulate((1 << k % n for k in keys), or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
     # floor[x] <= b(y) * n + y for every in-node y in below[x], for the
@@ -370,21 +372,21 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                             continue
                         pending ^= bit
                         settled.append(key)
-                        du = d + base[u]
                         if not unmatched & bit:
+                            # in(y)'s potential is W(y) - b(y), and the edge
+                            # back to out(x) costs W(x) - W(y)
                             x = parent[y]
                             v = OUT + x
-                            du += weight[x] - weight[y]
-                            nd = du - base[v]
+                            nd = d - offset[u] + weight[x] - base[v]
                             if nd < dist[v]:
                                 dist[v] = nd
                                 prev[v] = u
                                 touched.append(v)
                                 heappush(heap, nd * size + v)
-                        elif du < dist[SINK]:
-                            dist[SINK] = du
+                        elif d < dist[SINK]:  # b(y) = W(y): the sink is at y's distance
+                            dist[SINK] = d
                             prev[SINK] = u
-                            heappush(heap, du * size)
+                            heappush(heap, d * size)
                         continue
                     if d > dist[u]:  # a stale entry, or the zero layer's end
                         if u == SRC:
@@ -443,13 +445,15 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                     if cand:
                         free_in = cand & unmatched
                         if free_in:
-                            # an unmatched in-node's base is 0, so the cheapest
-                            # offer to one bounds the sink, and every offer
-                            # after it in key order is cut
+                            # an unmatched in-node's b(y) is W(y), so it reaches
+                            # the sink at its own distance: the cheapest offer
+                            # to one bounds the sink, and every offer after it
+                            # in key order is cut
                             if free_in & (free_in - 1):
                                 hi = _least_prefix(within, free_in, k)
-                            else:  # a lone one: its key is fixed
-                                hi = bisect_right(keys, fixed_key[free_in.bit_length() - 1], 0, k)
+                            else:  # a lone one: its key is W(y) * n + y
+                                v = free_in.bit_length()
+                                hi = bisect_right(keys, offset[v] * n + v - 1, 0, k)
                             bound = an + keys[hi - 1]
                             cand &= within[hi]
                             cut = bisect_left(keen, (bound - lift * n + 1) * n)
@@ -513,20 +517,20 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                     dead_out |= 1 << x
                     dead_in |= kids[x]
 
-        # correct the nodes settled closer than the sink:
-        # base += dist - dist(sink)
-        moved = []  # such in-nodes, to be re-placed in the b(y) order
+        # correct the nodes settled closer than the sink: base += dist -
+        # dist(sink), and b(y) -= the same, so a settled in-node's b(y)
+        # only grows; its key is re-placed in the b(y) order
+        old, new = [], []
         for key in settled[: bisect_left(settled, d * size)]:
             t, v = divmod(key, size)
             if v < OUT:
-                moved.append(v)
-            base[v] += t - d
-        if moved:
-            # a settled in-node's b(y) only grows
-            old = [offset[v] * n + v - 1 for v in moved]
-            for v in moved:
-                offset[v] = weight[v - 1] - base[v]
-            _reorder(keys, within, old, [offset[v] * n + v - 1 for v in moved], n)
+                old.append(offset[v] * n + v - 1)
+                offset[v] += d - t
+                new.append(offset[v] * n + v - 1)
+            else:
+                base[v] += t - d
+        if old:
+            _reorder(keys, within, old, new, n)
         shift = d
 
         # push one unit along the path, walking back from the sink
@@ -566,7 +570,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     # a free out-node's potential is 0, a shared routed one's the bottom
     # node's; no out-node is free at the end
     shared = to_bottom & ~free & all_in
-    pin = {labels[y]: base[y + 1] + shift for y in range(n) if y != r}
+    pin = {labels[y]: weight[y] - offset[y + 1] + shift for y in range(n) if y != r}
     pout = {
         labels[x]: 0 if free >> x & 1 else base[BOT if shared >> x & 1 else OUT + x] + shift
         for x in range(n)
