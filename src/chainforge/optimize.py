@@ -168,7 +168,15 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     :func:`_least_prefix` among the in-nodes under the bound, or, when x
     offers to only one, by one bisection for its key, fixed at
     W(y) * n + y, and x's offers after it are cut. None of the offers x
-    then makes could lower the bound further.
+    then makes could lower the bound further. So are x's offers to matched
+    in-nodes at the bound's distance: in-nodes come first in the heap's
+    order at a distance, and the one that set the bound pushes the sink
+    there at the least key, so the sink pops before any out-node they lead
+    to; settled at the sink's distance, they are never corrected either,
+    and as the bound only falls, a cut one stays at its distance or ends
+    above it. Without this cut, a user-less near-chain declared
+    bottom-first, on which search k is offered k in-nodes at distance 0,
+    costs n^2 / 2 pops.
 
     Each out-node x also has a floor: the least key b(y) * n + y below x
     when the call starts, taken in one pass up the covers. It bounds every
@@ -455,7 +463,12 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                                 v = free_in.bit_length()
                                 hi = bisect_right(keys, offset[v] * n + v - 1, 0, k)
                             bound = an + keys[hi - 1]
-                            cand &= within[hi]
+                            # and so is every offer to a matched in-node at the
+                            # bound's distance: the in-node that set the bound
+                            # pushes the sink at that distance, the least key
+                            # there, so no out-node it leads to pops first
+                            lo = bisect_left(keys, bound // n * n - an, 0, hi)
+                            cand &= within[lo] | free_in & within[hi]
                             cut = bisect_left(keen, (bound - lift * n + 1) * n)
                             queue &= keen_within[cut] | idle
                             nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF

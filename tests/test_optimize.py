@@ -711,7 +711,7 @@ class TestKernelWork:
         # offers stopped passing through the heap; 38 365 while the settled
         # bottom node pushed its offers to routed out-nodes one at a time;
         # 23 422 before searches skipped their phase's dead nodes
-        assert self.heap_pops(fence(250, 3, False)) <= 13990
+        assert self.heap_pops(fence(250, 3, False)) <= 13917
 
     def test_total_order_pops(self):
         # 9 477 before
@@ -722,7 +722,7 @@ class TestKernelWork:
         # bound was tightened, and the settled bottom node pushed every
         # routed out-node it improved; 39 660 while it pushed them one at
         # a time; 24 246 before searches skipped their phase's dead nodes
-        assert self.heap_work(fence(250, 3, False))[1] <= 14420
+        assert self.heap_work(fence(250, 3, False))[1] <= 14274
 
     def test_total_order_pushes(self):
         # 7 665 before
@@ -732,7 +732,7 @@ class TestKernelWork:
         # 39 392 and 506 while a search under a zero bound could push a
         # free minimal label's out-node beside the lowest resting one, for
         # up to one pop more per search
-        assert self.heap_pops(fence(250, 3, False)) <= 13990
+        assert self.heap_pops(fence(250, 3, False)) <= 13917
         assert self.heap_pops(total_order(200, 3, False)) <= 480
 
     def test_bottom_stream_pops(self):
@@ -741,39 +741,39 @@ class TestKernelWork:
         # maximum's among them; 1 092 while it queued its offers to routed
         # out-nodes one at a time
         policy = declared_in_reverse(random_policy(77, 0.4, seed=129))
-        assert self.heap_pops(policy) <= 1040
+        assert self.heap_pops(policy) <= 1018
         # 405 while the routed offers were queued one at a time, 372 before
-        # searches skipped their phase's dead nodes; 350 when the bottom
+        # searches skipped their phase's dead nodes; 326 when the bottom
         # node pushes its offer to out(r) without asking whether it beats
         # out(r)'s distance, so a tie settles out(r) twice
         policy = with_maximum_at(sparse_users(random_policy(34, 0.2, 1243), 1243, share=0.3), 1)
-        assert self.heap_pops(policy) == 364
+        assert self.heap_pops(policy) == 334
 
     def test_bottom_node_decided_from_its_reach(self):
         # the dead-mask pass counts the bottom node alive only while it
         # reaches the sink or a routed out-node not known dead that may
-        # offer in the zero layer. 18 703 pops and 19 562 pushes when it is
-        # always counted alive; 9 677 pops when it is decided once before
+        # offer in the zero layer. 18 555 pops and 19 266 pushes when it is
+        # always counted alive; 9 529 pops when it is decided once before
         # the pass rather than when the pass first needs it
         pops, pushes = self.heap_work(bottom_first(fence(250, 3, False)))
-        assert pops <= 9632
-        assert pushes <= 10082
+        assert pops <= 9484
+        assert pushes <= 9786
 
     def test_logged_offers_reach_the_layers_last_key(self):
         # a logged out-node's offers are cut at the zero layer's end, the
         # last key, in-node n - 1 at the phase's distance, included; cut
-        # one key short, this policy pops 788 and pushes 1 018
+        # one key short, this policy pops 616 and pushes 673
         policy = with_maximum_at(sparse_users(random_policy(40, 0.2, 2202), 2202), 30)
         pops, pushes = self.heap_work(policy)
-        assert pops <= 728
-        assert pushes <= 962
+        assert pops <= 556
+        assert pushes <= 617
 
     @pytest.mark.parametrize(
         "make, work",
         [
-            (lambda: random_policy(200, 0.1, seed=1), (6788, 9120, 386)),
-            (lambda: fence(250, 3, False), (13990, 14420, 281)),
-            (lambda: total_order(1200, 1, False), (2642, 5662, 0)),
+            (lambda: random_policy(200, 0.1, seed=1), (6728, 8974, 386)),
+            (lambda: fence(250, 3, False), (13917, 14274, 281)),
+            (lambda: total_order(1200, 1, False), (2405, 4795, 0)),
         ],
         ids=["random_policy(200, 0.1, 1)", "fence(250, 3, False)", "total_order(1200, 1, False)"],
     )
@@ -790,9 +790,10 @@ class TestKernelWork:
         # and one push here, and the potentials would part from
         # min_cost_flow's though the links stay the same. (109, 140) while
         # the bottom node's offers to routed out-nodes passed through the
-        # heap
+        # heap; (97, 115) with a floor raised past an out-node's empty
+        # offers
         policy = with_maximum_at(sparse_users(random_policy(16, 0.1, 301074), 301074, share=0.3), 11)
-        assert self.heap_work(policy) == (101, 124)
+        assert self.heap_work(policy) == (98, 116)
 
 
 class TestLeastPrefix:
