@@ -279,10 +279,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     INF = float("inf")
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    # the potential of out-node or bottom node v is base[v] + shift, and of
-    # in(y) W(y) - b(y) + shift; the sink's is shift (it is settled at the
-    # sink's distance), and neither a free out-node's base nor a shared
-    # routed one's is kept
+    # the potential of node v is base[v] + shift, but in(y)'s is
+    # W(y) - b(y) + shift; the sink's base stays 0 (it is settled at the
+    # sink's distance), and neither a free out-node's nor a shared routed
+    # one's is kept
     base = [0] * size
     shift = 0
     # shifted distances and predecessors; a free out-node holds 0 and the
@@ -465,8 +465,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                             bound = an + keys[hi - 1]
                             # and so is every offer to a matched in-node at the
                             # bound's distance: the in-node that set the bound
-                            # pushes the sink at that distance, the least key
-                            # there, so no out-node it leads to pops first
+                            # pushes the sink there at the least key, so the
+                            # sink pops before any out-node such an offer
+                            # leads to
                             lo = bisect_left(keys, bound // n * n - an, 0, hi)
                             cand &= within[lo] | free_in & within[hi]
                             cut = bisect_left(keen, (bound - lift * n + 1) * n)
