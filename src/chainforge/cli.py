@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .formats import parse_partition, parse_policy, partition_text, policy_text
+from .formats import _decimal, parse_partition, parse_policy, partition_text, policy_text
 from .policy import (
     Policy,
     _users_in,
@@ -59,8 +59,8 @@ def _print_bottoms(policy, pi) -> None:
         size, weight = up.bit_count(), users_in(up)
         total_size += size
         total_weight += weight
-        print(f"bottom {b}: size {size} weight {weight}")
-    print(f"bottoms_total: size {total_size} weight {total_weight}")
+        print(f"bottom {b}: size {size} weight {_decimal(weight)}")
+    print(f"bottoms_total: size {total_size} weight {_decimal(total_weight)}")
 
 
 def _cmd_analyze(args) -> int:
@@ -83,12 +83,12 @@ def _cmd_partition(args) -> int:
     # opened before the report is printed, so an unwritable path prints
     # only the error line
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
-        print(f"khat: {result.khat}")
+        print(f"khat: {_decimal(result.khat)}")
         print(f"K: {total_secrets(policy, result.partition)}")
         print(f"kmax: {result.kmax}")
         print(f"width: {result.width}")
         print(f"chains: {len(result.partition.chains)}")
-        print(f"flow_cost: {result.flow_cost}")
+        print(f"flow_cost: {_decimal(result.flow_cost)}")
         _print_bottoms(policy, result.partition)
         if out is not None:
             out.write(partition_text(result.partition))
@@ -104,7 +104,8 @@ def _cmd_evaluate(args) -> int:
     tree = issued_secrets_via_tree(*attach_to_maximum(policy, pi))
     if not khat == tree == bottoms:
         raise InternalError(
-            f"issued-secret formulas disagree: {khat}, tree {tree}, bottoms {bottoms}"
+            f"issued-secret formulas disagree: {_decimal(khat)}, tree {_decimal(tree)},"
+            f" bottoms {_decimal(bottoms)}"
         )
     # every --phi label is looked up before the report is printed, so an
     # unknown one prints only the error line
@@ -112,9 +113,9 @@ def _cmd_evaluate(args) -> int:
     print(f"chains: {len(pi.chains)}")
     print(f"kmax: {max_bundle_size(policy, pi)}")
     print(f"K: {total_secrets(policy, pi)}")
-    print(f"khat: {khat}")
-    print(f"khat_tree: {tree}")
-    print(f"khat_bottoms: {bottoms}")
+    print(f"khat: {_decimal(khat)}")
+    print(f"khat_tree: {_decimal(tree)}")
+    print(f"khat_bottoms: {_decimal(bottoms)}")
     _print_bottoms(policy, pi)
     for label, bundle in phis:
         print(f"phi({label}): " + " ".join(bundle))
@@ -186,11 +187,11 @@ def _cmd_oracle(args) -> int:
     policy = _load_policy(args.policy)
     report = brute.brute_minimum(policy, limit=args.limit)
     result = optimize.optimal_partition(policy)
-    print(f"min_khat: {report.min_khat}")
+    print(f"min_khat: {_decimal(report.min_khat)}")
     print(f"partitions_examined: {report.partitions_examined}")
     print(f"min_chain_count_at_min: {report.min_chain_count_at_min}")
     print("argmin: " + " ".join(">".join(c) for c in report.argmin.chains))
-    print(f"optimizer_khat: {result.khat}")
+    print(f"optimizer_khat: {_decimal(result.khat)}")
     if result.khat == report.min_khat:
         print("verdict: PASS")
         return 0
@@ -278,11 +279,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    # counts and totals may have any number of digits (Python 3.10.7+
-    # otherwise refuses int <-> str conversions past 4 300 digits)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except NotAuthorized as e:
@@ -297,9 +293,6 @@ def main(argv=None) -> int:
     except (ChainforgeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
 
 
 def entry() -> None:

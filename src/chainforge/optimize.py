@@ -110,7 +110,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     arcs are saturated both ways, an in-node leads either to the sink or
     back to its one chain parent, and the bottom node leads back to the
     out-nodes routed to it. Edges back into the source never improve a
-    distance.
+    distance. An in-node's edge to the sink costs 0 and the sink's key is
+    the least at a distance, so the first unmatched in-node settled would
+    push the sink below every key left: the search ends there, with the
+    sink's distance and predecessor. Only the bottom node pushes the sink.
 
     Each potential is kept relative to a shift, and each search runs in
     distances shifted by that same shift, so no search rebuilds O(n)
@@ -156,27 +159,26 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     potential moves by the sink's distance either way. A
     search's bound opens at distance 0, any y, while the bottom node has
     room and a free out-node is not routed to it, as the path through them
-    costs 0 and the sink is pushed only when the bottom node, the last at
-    that distance, pops. Otherwise it opens at distance 1 + sum W(y), any
+    costs 0 and the bottom node, which pushes the sink, is the last at
+    that distance to pop. Otherwise it opens at distance 1 + sum W(y), any
     y: path costs are nonnegative and add up to the flow's cost, which is
     at most sum W(y), since a link x -> y costs W(y) - W(x). The in-nodes
     sorted by b(y) * n + y turn the bound into one more mask. An unmatched
     in-node leads straight to the sink, so it is never settled closer than
-    the sink and its b(y) stays W(y); it pushes the sink at its own distance
-    when it pops, ahead of every later key. So before x offers, the bound
-    is lowered to x's least offer to an unmatched in-node, found by
-    :func:`_least_prefix` among the in-nodes under the bound, or, when x
-    offers to only one, by one bisection for its key, fixed at
-    W(y) * n + y, and x's offers after it are cut. None of the offers x
-    then makes could lower the bound further. So are x's offers to matched
-    in-nodes at the bound's distance: in-nodes come first in the heap's
-    order at a distance, and the one that set the bound pushes the sink
-    there at the least key, so the sink pops before any out-node they lead
-    to; settled at the sink's distance, they are never corrected either,
-    and as the bound only falls, a cut one stays at its distance or ends
-    above it. Without this cut, a user-less near-chain declared
-    bottom-first, on which search k is offered k in-nodes at distance 0,
-    costs n^2 / 2 pops.
+    the sink and its b(y) stays W(y); the search ends at its distance when
+    it pops. So before x offers, the bound is lowered to x's least offer
+    to an unmatched in-node, found by :func:`_least_prefix` among the
+    in-nodes under the bound, or, when x offers to only one, by one
+    bisection for its key, fixed at W(y) * n + y, and x's offers after it
+    are cut. None of the offers x then makes could lower the bound
+    further. So are x's offers to matched in-nodes at the bound's
+    distance: in-nodes come first in the heap's order at a distance, and
+    the search ends there at the latest when the one that set the bound
+    pops, before any out-node they lead to; settled at the sink's
+    distance, they are never corrected either, and as the bound only
+    falls, a cut one stays at its distance or ends above it. Without this
+    cut, a user-less near-chain declared bottom-first, on which search k
+    is offered k in-nodes at distance 0, costs n^2 / 2 pops.
 
     Each out-node x also has a floor: the least key b(y) * n + y below x
     when the call starts, taken in one pass up the covers. It bounds every
@@ -286,7 +288,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     base = [0] * size
     shift = 0
     # shifted distances and predecessors; a free out-node holds 0 and the
-    # source
+    # source; the sink's is not kept, as a search ends where it finds it
     dist: list[float] = [INF] * size
     dist[OUT:BOT] = [0] * n
     dist[SRC] = -1  # the source's heap entry is the end of the zero layer
@@ -325,7 +327,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
         while True:  # a search, run again without the dead mask if it leaves the phase
             # reset what the last search left; not the predecessors, as every
             # reach writes one, and only the stream reaches a free out-node
-            dist[SINK] = dist[BOT] = INF
+            dist[BOT] = INF
             for v in touched:
                 dist[v] = INF
             touched = []
@@ -379,22 +381,20 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                         if not pending & bit:  # settled already: a stale entry
                             continue
                         pending ^= bit
-                        settled.append(key)
-                        if not unmatched & bit:
-                            # in(y)'s potential is W(y) - b(y), and the edge
-                            # back to out(x) costs W(x) - W(y)
-                            x = parent[y]
-                            v = OUT + x
-                            nd = d - offset[u] + weight[x] - base[v]
-                            if nd < dist[v]:
-                                dist[v] = nd
-                                prev[v] = u
-                                touched.append(v)
-                                heappush(heap, nd * size + v)
-                        elif d < dist[SINK]:  # b(y) = W(y): the sink is at y's distance
-                            dist[SINK] = d
+                        if unmatched & bit:  # b(y) = W(y): the sink is at y's distance
                             prev[SINK] = u
-                            heappush(heap, d * size)
+                            break
+                        settled.append(key)
+                        # in(y)'s potential is W(y) - b(y), and the edge back
+                        # to out(x) costs W(x) - W(y)
+                        x = parent[y]
+                        v = OUT + x
+                        nd = d - offset[u] + weight[x] - base[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            prev[v] = u
+                            touched.append(v)
+                            heappush(heap, nd * size + v)
                         continue
                     if d > dist[u]:  # a stale entry, or the zero layer's end
                         if u == SRC:
@@ -404,8 +404,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                     settled.append(key)
                     du = d + base[u]
                     if u == BOT:
-                        if room and du < dist[SINK]:
-                            dist[SINK] = du
+                        if room:
                             prev[SINK] = u
                             heappush(heap, du * size)
                         # the stream turns to the shared routed out-nodes, all
@@ -464,10 +463,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                                 hi = bisect_right(keys, offset[v] * n + v - 1, 0, k)
                             bound = an + keys[hi - 1]
                             # and so is every offer to a matched in-node at the
-                            # bound's distance: the in-node that set the bound
-                            # pushes the sink there at the least key, so the
-                            # sink pops before any out-node such an offer
-                            # leads to
+                            # bound's distance: the search ends there at the
+                            # latest when the in-node that set the bound pops,
+                            # before any out-node such an offer leads to
                             lo = bisect_left(keys, bound // n * n - an, 0, hi)
                             cand &= within[lo] | free_in & within[hi]
                             cut = bisect_left(keen, (bound - lift * n + 1) * n)

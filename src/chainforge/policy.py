@@ -157,7 +157,8 @@ def bundle_labels(policy: Policy, x: str, pi: ChainPartition) -> tuple[str, ...]
 
 
 def max_bundle_size(policy: Policy, pi: ChainPartition) -> int:
-    return max(_bundle_sizes(policy.poset, policy.poset._chain_index(pi.chains)))
+    """Largest bundle size over all labels; 0 on an empty poset."""
+    return max(_bundle_sizes(policy.poset, policy.poset._chain_index(pi.chains)), default=0)
 
 
 def total_secrets(policy: Policy, pi: ChainPartition) -> int:

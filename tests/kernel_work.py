@@ -6,8 +6,8 @@ Run from the repository root:
     PYTHONPATH=src:tests python tests/kernel_work.py
 
 For each of the seven rows of ROADMAP.md's baseline table, for a
-bottom-first fence, for a total order and a near-chain without users,
-and for each golden partition of ``tests/test_optimize.py``, it runs
+bottom-first fence, for a total order and a near-chain without users, for
+that near-chain declared in a shuffled order, and for each golden partition of ``tests/test_optimize.py``, it runs
 ``optimize._chain_parents`` once, counting its heap operations and its
 ``_least_prefix`` searches, and prints the heap pops, the heap pushes, the
 searches, the width w and the flow cost. It then checks the links of that
@@ -21,12 +21,14 @@ cannot flake.
 
 from __future__ import annotations
 
+import random
 import sys
 
 from chainforge import Policy, Poset
 from chainforge.certify import certificate_violations
 from chainforge.gen import random_policy
 
+from oracle_sweep import shuffled
 from test_optimize import GOLDEN, bottom_first, fence, kernel_heap_work, total_order
 
 
@@ -39,41 +41,45 @@ def near_chain(n):
 
 # row, policy, and the recorded pops, pushes, prefix searches, w and cost
 ROWS = [
-    ("random_policy(100, 0.2, 1)", lambda: random_policy(100, 0.2, seed=1), 1995, 2677, 148, 9, 1562),
-    ("random_policy(200, 0.1, 1)", lambda: random_policy(200, 0.1, seed=1), 6728, 8974, 386, 17, 6569),
-    ("random_policy(400, 0.05, 1)", lambda: random_policy(400, 0.05, seed=1), 45670, 51521, 753, 38, 27590),
-    ("random_policy(800, 0.05, 1)", lambda: random_policy(800, 0.05, seed=1), 109879, 127466, 1776, 37, 61373),
-    ("fence(250, 3, False)", lambda: fence(250, 3, False), 13917, 14274, 281, 250, 1908),
-    ("fence(1000, 3, False)", lambda: fence(1000, 3, False), 171381, 172729, 1088, 1000, 7440),
-    ("total_order(1200, 1, False)", lambda: total_order(1200, 1, False), 2405, 4795, 0, 1, 3024),
+    ("random_policy(100, 0.2, 1)", lambda: random_policy(100, 0.2, seed=1), 1895, 2577, 148, 9, 1562),
+    ("random_policy(200, 0.1, 1)", lambda: random_policy(200, 0.1, seed=1), 6528, 8774, 386, 17, 6569),
+    ("random_policy(400, 0.05, 1)", lambda: random_policy(400, 0.05, seed=1), 45270, 51121, 753, 38, 27590),
+    ("random_policy(800, 0.05, 1)", lambda: random_policy(800, 0.05, seed=1), 109079, 126666, 1776, 37, 61373),
+    ("fence(250, 3, False)", lambda: fence(250, 3, False), 13417, 13774, 281, 250, 1908),
+    ("fence(1000, 3, False)", lambda: fence(1000, 3, False), 169381, 170729, 1088, 1000, 7440),
+    ("total_order(1200, 1, False)", lambda: total_order(1200, 1, False), 1206, 3596, 0, 1, 3024),
     # not baseline rows: a bottom-first fence, the shape on which the dead
     # mask's rule for the bottom node shows in the pops, and two user-less
     # shapes declared bottom-first, on which every search finds the sink at
     # distance 0 and each search k is offered in(0..k) there: about n^2 / 2
     # pops unless the offers to matched in-nodes at the sink bound's
-    # distance are cut, as the sink pops before any out-node they lead to.
+    # distance are cut, as the search ends before any out-node they lead to.
     # The total order takes the kernel only when called directly; the
     # near-chain takes it from optimal_partition too
-    ("bottom_first(fence(250, 3, False))", lambda: bottom_first(fence(250, 3, False)), 9484, 9786, 283, 250, 1908),
+    ("bottom_first(fence(250, 3, False))", lambda: bottom_first(fence(250, 3, False)), 8984, 9286, 283, 250, 1908),
     ("Policy(total_order(1200, 1, False).poset)", lambda: Policy(total_order(1200, 1, False).poset),
-     2400, 3599, 0, 1, 0),
-    ("near_chain(1200)", lambda: near_chain(1200), 2414, 3615, 1, 2, 0),
+     1201, 2400, 0, 1, 0),
+    ("near_chain(1200)", lambda: near_chain(1200), 1213, 2414, 1, 2, 0),
+    # the near-chain declared in a shuffled order still takes about n^2 / 10
+    # pops, for a cause not yet traced
+    ("shuffled(near_chain(1200), random.Random(1))",
+     lambda: shuffled(near_chain(1200), random.Random(1)), 145650, 201890, 1161, 2, 0),
 ]
 
 
 # golden, and its recorded pops, pushes and prefix searches; its w and cost
 # are GOLDEN's
 GOLDEN_WORK = {
-    "random_policy(400, 0.05, 1)": (45670, 51521, 753),
-    "random_policy(400, 0.05, 2)": (36554, 42376, 734),
-    "random_policy(800, 0.05, 1)": (109879, 127466, 1776),
-    "fence(500)": (46388, 47042, 553),
-    "total_order(1200)": (2405, 4581, 0),
-    "bottom_first(fence(400))": (21678, 22045, 442),
-    "sparse_users(fence(400))": (576779, 577637, 440),
-    "total_order(400)": (805, 1514, 0),
-    "sparse_users(random_policy(400, 0.05))": (26275, 31793, 571),
-    "with_maximum_at(random_policy(300, 0.05), 150)": (24141, 28739, 622),
+    "random_policy(400, 0.05, 1)": (45270, 51121, 753),
+    "random_policy(400, 0.05, 2)": (36154, 41976, 734),
+    "random_policy(800, 0.05, 1)": (109079, 126666, 1776),
+    "fence(500)": (45388, 46042, 553),
+    "total_order(1200)": (1206, 3382, 0),
+    "bottom_first(fence(400))": (20878, 21245, 442),
+    "sparse_users(fence(400))": (575979, 576837, 440),
+    "total_order(400)": (406, 1115, 0),
+    "sparse_users(random_policy(400, 0.05))": (25875, 31393, 571),
+    "with_maximum_at(random_policy(300, 0.05), 150)": (23841, 28439, 622),
 }
 
 

@@ -572,6 +572,32 @@ class TestTotalsOfAnyLength:
         run(capsys, "partition", str(tmp_path / "missing.policy"))
         assert sys.get_int_max_str_digits() == before
 
+    def test_digit_limit_left_alone(self, capsys, monkeypatch, tmp_path):
+        # 5 000-digit counts are read and printed in pieces below the
+        # limit; no command sets the process-wide limit
+        def refuse(_):
+            raise AssertionError("the process-wide int/str digit limit was set")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        count, khat = "1" + "0" * 4998 + "1", "2" + "0" * 4998 + "2"
+        policy = tmp_path / "long.policy"
+        policy.write_text(f"elements: lo hi\ncovers: hi>lo\nusers: lo={count} hi={count}\n")
+        part = tmp_path / "long.partition"
+        part.write_text("hi>lo\n")
+        code, out, err = run(capsys, "partition", str(policy))
+        assert (code, err) == (0, "")
+        got = lines_of(out)
+        assert (got["khat"], got["flow_cost"]) == (khat, count)
+        assert got["bottom lo"] == got["bottoms_total"] == f"size 2 weight {khat}"
+        code, out, err = run(capsys, "evaluate", str(policy), str(part))
+        assert (code, err) == (0, "")
+        got = lines_of(out)
+        assert got["khat"] == got["khat_tree"] == got["khat_bottoms"] == khat
+        code, out, err = run(capsys, "oracle", str(policy))
+        assert (code, err) == (0, "")
+        got = lines_of(out)
+        assert got["min_khat"] == got["optimizer_khat"] == khat
+
 
 class TestGen:
     def test_singleton(self, capsys):

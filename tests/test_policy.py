@@ -156,6 +156,13 @@ class TestAggregates:
         assert max_bundle_size(pol, pi) == 1
         assert total_secrets(pol, pi) == 3
 
+    def test_empty_policy(self):
+        pol, pi = Policy(Poset([])), ChainPartition(())
+        assert max_bundle_size(pol, pi) == 0
+        assert total_secrets(pol, pi) == 0
+        assert issued_secrets(pol, pi) == 0
+        assert issued_secrets_via_bottoms(pol, pi) == 0
+
     def test_total_secrets(self, demo_unit, part_a, part_b, part_c):
         assert total_secrets(demo_unit, part_a) == 20
         assert total_secrets(demo_unit, part_b) == 17
