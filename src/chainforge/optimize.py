@@ -103,17 +103,26 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     node's. ``chainforge.certify`` checks them against the links.
 
     The search is :func:`min_cost_flow`'s on the lower-bound-eliminated
-    network: the same node order with the sink first, the same heap keys
+    network: the same node order less the sink, the same heap keys
     (distance, node id) and the same strict improvement test, so every
     augmenting path and potential, and the optimum, are the ones it
     finds. Only residual edges are visited: the forced in(x) -> out(x)
     arcs are saturated both ways, an in-node leads either to the sink or
     back to its one chain parent, and the bottom node leads back to the
     out-nodes routed to it. Edges back into the source never improve a
-    distance. An in-node's edge to the sink costs 0 and the sink's key is
-    the least at a distance, so the first unmatched in-node settled would
-    push the sink below every key left: the search ends there, with the
-    sink's distance and predecessor. Only the bottom node pushes the sink.
+    distance. The sink is not a node here: a search ends at the first
+    node it settles that has an edge left to the sink, an unmatched
+    in-node or the bottom node while it has room. That edge's reduced
+    cost is 0, so the sink's distance is the node's: an unmatched
+    in-node's b(y) is W(y), and the bottom node's edge costs base(bottom),
+    never negative while the edge is residual, as no residual edge's
+    reduced cost is, and never positive, as a base only falls.
+    :func:`min_cost_flow` numbers the sink below every node, so its sink
+    key at that distance lies below the settled node's, and so below
+    every heap entry left and both out-node streams: it pops the sink
+    next, with the settled node as predecessor. No node settled earlier
+    had an edge to the sink, so no earlier sink entry breaks the tie
+    another way.
 
     Each potential is kept relative to a shift, and each search runs in
     distances shifted by that same shift, so no search rebuilds O(n)
@@ -159,8 +168,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     potential moves by the sink's distance either way. A
     search's bound opens at distance 0, any y, while the bottom node has
     room and a free out-node is not routed to it, as the path through them
-    costs 0 and the bottom node, which pushes the sink, is the last at
-    that distance to pop. Otherwise it opens at distance 1 + sum W(y), any
+    costs 0 and the bottom node, which then ends the search, pops last at
+    that distance. Otherwise it opens at distance 1 + sum W(y), any
     y: path costs are nonnegative and add up to the flow's cost, which is
     at most sum W(y), since a link x -> y costs W(y) - W(x). The in-nodes
     sorted by b(y) * n + y turn the bound into one more mask. An unmatched
@@ -216,7 +225,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     reversed path edges, which leave path nodes, and those were alive, so
     a dead node stays dead until the phase ends. A dead node reaches only
     dead nodes at distance shift, and its other offers lie above the
-    sink's key, which pops first. So a search that skips the dead nodes
+    sink's distance, never settled. So a search that skips the dead nodes
     pops the live ones in the same order, from the same predecessors, and
     finds the same path. Once 3n / 2w searches in a row have found the
     sink at shift, each search logs the out-nodes it settles with their
@@ -260,10 +269,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     weight = [users_in(up) for up in p._up]
     below = [down ^ 1 << i for i, down in enumerate(p._down)]
 
-    # build_flow_network's node order with the sink moved first; in(y) is
-    # y + 1 and out(x) is OUT + x for declaration indices x, y (in(r) is unused)
-    SINK, OUT, BOT, SRC = 0, n + 1, 2 * n + 1, 2 * n + 2
-    size = 2 * n + 3
+    # build_flow_network's node order without the sink; in(y) is y and
+    # out(x) is OUT + x for declaration indices x, y (in(r) is unused)
+    OUT, BOT, SRC = n, 2 * n, 2 * n + 1
+    size = 2 * n + 2
     parent = [r] * n  # chain parent of every matched in-node
     kids = [0] * n  # in-nodes that out(x) sends its flow to
     # out-nodes with a unit left on their source edge: one each, and out(r)
@@ -282,20 +291,19 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     heappush, heappop = heapq.heappush, heapq.heappop
 
     # the potential of node v is base[v] + shift, but in(y)'s is
-    # W(y) - b(y) + shift; the sink's base stays 0 (it is settled at the
-    # sink's distance), and neither a free out-node's nor a shared routed
-    # one's is kept
+    # W(y) - b(y) + shift; the sink's stays shift, and neither a free
+    # out-node's nor a shared routed one's is kept
     base = [0] * size
     shift = 0
     # shifted distances and predecessors; a free out-node holds 0 and the
-    # source; the sink's is not kept, as a search ends where it finds it
+    # source
     dist: list[float] = [INF] * size
     dist[OUT:BOT] = [0] * n
     dist[SRC] = -1  # the source's heap entry is the end of the zero layer
     prev = [SRC] * size
     # the in-nodes as sorted keys (b(y), y) and their prefix masks:
     # within[k] holds the first k of them
-    offset = [0] + weight  # b(y) by in-node id
+    offset = list(weight)  # b(y)
     keys = sorted(weight[y] * n + y for y in range(n) if y != r)
     within = list(accumulate((1 << k % n for k in keys), or_, initial=0))
     best = [0] * n  # a(y) of every in-node reached in the current search
@@ -332,7 +340,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                 dist[v] = INF
             touched = []
             # a bound on the sink's shifted distance, which is its true one as
-            # its base is 0: the path source -> out(x) -> bottom -> sink costs 0
+            # its potential is shift: the path source -> out(x) -> bottom ->
+            # sink costs 0
             room = to_bottom.bit_count() < w
             bound = zero_bound if room and free & ~to_bottom else top_bound
             # the stream of out-nodes still to read, at heap keys at + id, each
@@ -373,21 +382,18 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                 if heap[0] < key:
                     key = heappop(heap)
                     d, u = divmod(key, size)
-                    if u == SINK:
-                        break
                     if u < OUT:  # in(y)
-                        y = u - 1
-                        bit = 1 << y
+                        bit = 1 << u
                         if not pending & bit:  # settled already: a stale entry
                             continue
                         pending ^= bit
                         if unmatched & bit:  # b(y) = W(y): the sink is at y's distance
-                            prev[SINK] = u
+                            last = u
                             break
                         settled.append(key)
                         # in(y)'s potential is W(y) - b(y), and the edge back
                         # to out(x) costs W(x) - W(y)
-                        x = parent[y]
+                        x = parent[u]
                         v = OUT + x
                         nd = d - offset[u] + weight[x] - base[v]
                         if nd < dist[v]:
@@ -404,9 +410,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                     settled.append(key)
                     du = d + base[u]
                     if u == BOT:
-                        if room:
-                            prev[SINK] = u
-                            heappush(heap, du * size)
+                        if room:  # its base is 0: the sink is at its distance
+                            last = u
+                            break
                         # the stream turns to the shared routed out-nodes, all
                         # but r's, at d; out(r) keeps its own base
                         at, lift, via = key - BOT, du, BOT
@@ -459,8 +465,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                             if free_in & (free_in - 1):
                                 hi = _least_prefix(within, free_in, k)
                             else:  # a lone one: its key is W(y) * n + y
-                                v = free_in.bit_length()
-                                hi = bisect_right(keys, offset[v] * n + v - 1, 0, k)
+                                y = free_in.bit_length() - 1
+                                hi = bisect_right(keys, offset[y] * n + y, 0, k)
                             bound = an + keys[hi - 1]
                             # and so is every offer to a matched in-node at the
                             # bound's distance: the search ends there at the
@@ -486,11 +492,10 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                         while better:
                             low = better & -better
                             better ^= low
-                            v = low.bit_length()
-                            nd = a + offset[v]
-                            prev[v] = u
-                            best[v - 1] = a
-                            heappush(heap, nd * size + v)
+                            y = low.bit_length() - 1
+                            prev[y] = u
+                            best[y] = a
+                            heappush(heap, (a + offset[y]) * size + y)
                 elif zero:
                     log.append((x, du, 0, None))
                 nd = du - base[BOT]
@@ -521,7 +526,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                         # zero layer
                         reach = to_bottom & ~free & ~dead_out
                         reach &= keen_within[bisect_left(keen, (tight_end - to_bot * n) * n)]
-                        bot = room and not base[BOT] or reach != 0
+                        bot = room or reach != 0
                         if not bot:
                             dead_in |= r_bit
                     cand = bot
@@ -536,27 +541,27 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
         for key in settled[: bisect_left(settled, d * size)]:
             t, v = divmod(key, size)
             if v < OUT:
-                old.append(offset[v] * n + v - 1)
+                old.append(offset[v] * n + v)
                 offset[v] += d - t
-                new.append(offset[v] * n + v - 1)
+                new.append(offset[v] * n + v)
             else:
                 base[v] += t - d
         if old:
             _reorder(keys, within, old, new, n)
         shift = d
 
-        # push one unit along the path, walking back from the sink
-        v = SINK
+        # push one unit along the path, walking back from the node that
+        # reached the sink
+        v = last
+        if v < OUT:
+            unmatched ^= 1 << v
         for _ in range(size):
             if v == SRC:
                 break
             u = prev[v]
-            if v == SINK:
-                if u != BOT:
-                    unmatched ^= 1 << (u - 1)
-            elif v < OUT:  # out(x) -> in(y) gains the unit
-                parent[v - 1] = u - OUT
-                kids[u - OUT] |= 1 << (v - 1)
+            if v < OUT:  # out(x) -> in(y) gains the unit
+                parent[v] = u - OUT
+                kids[u - OUT] |= 1 << v
             elif v == BOT:
                 to_bottom |= 1 << (u - OUT)
             elif u == SRC:
@@ -571,7 +576,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                 to_bottom ^= 1 << (v - OUT)
                 base[v] = base[BOT]
             else:  # in(y) -> out(x): out(x) -> in(y) gives its unit back
-                kids[v - OUT] ^= 1 << (u - 1)
+                kids[v - OUT] ^= 1 << u
             v = u
         else:
             raise InternalError("the augmenting path does not lead back to the source")
@@ -582,7 +587,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     # a free out-node's potential is 0, a shared routed one's the bottom
     # node's; no out-node is free at the end
     shared = to_bottom & ~free & all_in
-    pin = {labels[y]: weight[y] - offset[y + 1] + shift for y in range(n) if y != r}
+    pin = {labels[y]: weight[y] - offset[y] + shift for y in range(n) if y != r}
     pout = {
         labels[x]: 0 if free >> x & 1 else base[BOT if shared >> x & 1 else OUT + x] + shift
         for x in range(n)
