@@ -7,20 +7,24 @@ Run from the repository root:
 
 For each of the seven rows of ROADMAP.md's baseline table, for a
 bottom-first fence, for a total order and a near-chain without users, for
-that near-chain declared in a shuffled order, and for each golden partition of ``tests/test_optimize.py``, it runs
-``optimize._chain_parents`` once, counting its heap operations and its
-``_least_prefix`` searches, and prints the heap pops, the heap pushes, the
-searches, the width w and the flow cost. It then checks the links of that
-same call with the optimality certificate of ``chainforge.certify``, which
-takes tier-1 too long on the goldens, and prints how many of its
-conditions fail. It exits 1 if w or the cost differs from the recorded
-value, if the pops, the pushes or the searches exceed it, or if any
-condition fails. The counts repeat exactly from run to run, so the limits
-cannot flake.
+that near-chain declared in a shuffled order, and for each golden
+partition of ``tests/test_optimize.py``, it runs ``optimize._chain_parents``
+once, counting its heap operations and its ``_least_prefix`` searches, and
+prints the heap pops, the heap pushes, the searches, the width w and the
+flow cost. It then checks the links of that same call with the optimality
+certificate of ``chainforge.certify``, which takes tier-1 too long on the
+goldens, and prints how many of its conditions fail. It exits 1 if w or
+the cost differs from the recorded value, if the pops, the pushes or the
+searches exceed it, or if any condition fails. It also folds the rows'
+results, and the goldens', into one sha256 each, as ``oracle_sweep.fold``
+does, and exits 1 unless they equal ``ROWS_DIGEST`` and
+``GOLDENS_DIGEST``. The counts and the digests repeat exactly from run to
+run, so the checks cannot flake.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 
@@ -28,7 +32,7 @@ from chainforge import Policy, Poset
 from chainforge.certify import certificate_violations
 from chainforge.gen import random_policy
 
-from oracle_sweep import shuffled
+from oracle_sweep import fold, shuffled
 from test_optimize import GOLDEN, bottom_first, fence, kernel_heap_work, total_order
 
 
@@ -65,6 +69,8 @@ ROWS = [
     ("shuffled(near_chain(1200), random.Random(1))",
      lambda: shuffled(near_chain(1200), random.Random(1)), 145648, 201888, 1161, 2, 0),
 ]
+# sha256 over the kernel results of the rows, in order
+ROWS_DIGEST = "0746a47b86fb15e28bb5df44b42c91151f84af7360146b7dd85961ba59b22f2c"
 
 
 # golden, and its recorded pops, pushes and prefix searches; its w and cost
@@ -81,6 +87,8 @@ GOLDEN_WORK = {
     "sparse_users(random_policy(400, 0.05))": (25835, 31353, 571),
     "with_maximum_at(random_policy(300, 0.05), 150)": (23805, 28403, 622),
 }
+# sha256 over the kernel results of the goldens, in GOLDEN's order
+GOLDENS_DIGEST = "2afdbef87c831be2b3bfd475affecb874be6c9839994c700896a125e4892691b"
 
 
 def main() -> int:
@@ -89,18 +97,25 @@ def main() -> int:
         for name, make, _, _, w, cost in GOLDEN
     ]
     bad = 0
-    for name, make, max_pops, max_pushes, max_searches, want_w, want_cost in ROWS + goldens:
-        pops, pushes, searches, work, (links, w, cost, potentials) = kernel_heap_work(make())
-        violations = len(certificate_violations(work, links, w, potentials))
-        ok = pops <= max_pops and pushes <= max_pushes and searches <= max_searches
-        ok = ok and (w, cost) == (want_w, want_cost) and not violations
-        bad += not ok
-        print(
-            f"{name}: {pops} pops (at most {max_pops}), {pushes} pushes (at most {max_pushes}),"
-            f" {searches} prefix searches (at most {max_searches}),"
-            f" w {w} ({want_w}), cost {cost} ({want_cost}), {violations} certificate violations"
-            f"{'' if ok else '  FAILED'}"
-        )
+    for group, cases, want_digest in (("rows", ROWS, ROWS_DIGEST), ("goldens", goldens, GOLDENS_DIGEST)):
+        digest = hashlib.sha256()
+        for name, make, max_pops, max_pushes, max_searches, want_w, want_cost in cases:
+            pops, pushes, searches, work, result = kernel_heap_work(make())
+            fold(digest, result)
+            links, w, cost, potentials = result
+            violations = len(certificate_violations(work, links, w, potentials))
+            ok = pops <= max_pops and pushes <= max_pushes and searches <= max_searches
+            ok = ok and (w, cost) == (want_w, want_cost) and not violations
+            bad += not ok
+            print(
+                f"{name}: {pops} pops (at most {max_pops}), {pushes} pushes (at most {max_pushes}),"
+                f" {searches} prefix searches (at most {max_searches}),"
+                f" w {w} ({want_w}), cost {cost} ({want_cost}), {violations} certificate violations"
+                f"{'' if ok else '  FAILED'}"
+            )
+        same = digest.hexdigest() == want_digest
+        bad += not same
+        print(f"{group} sha256 {digest.hexdigest()}{'' if same else f'  FAILED: recorded {want_digest}'}")
     print(f"{len(ROWS)} rows and {len(GOLDEN)} goldens, {bad} failed")
     return 1 if bad else 0
 

@@ -13,11 +13,15 @@ top-first or shuffled, by i mod 3, with users on a tenth, three tenths or
 all of their labels. The sweep prints every policy whose partition text or
 metrics differ from the oracle's, or whose chain-parent links the
 optimality certificate of ``chainforge.certify`` rejects, and exits 1 if
-any does.
+any does. It also folds every ``optimize._chain_parents`` result (links,
+w, cost and potentials) into one sha256 and exits 1 unless that digest
+equals ``DIGEST``: any change to the kernel's paths or potentials, even
+one that keeps every partition optimal, moves it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 
@@ -33,6 +37,15 @@ COUNT = 2000
 VARIANTS = ("plain", "sparse", "bottom-first", "shuffled", "mid-list maximum")
 CHAINS = 200
 CHAIN_VARIANTS = ("chain, bottom-first", "chain, top-first", "chain, shuffled")
+# sha256 over the kernel results of all COUNT + CHAINS policies, in order
+DIGEST = "7bdcbded6be74f8b18e6b6d313a3e5a81637c19e2750c884fe1dc5f7d9fbca3c"
+
+
+def fold(digest, result) -> None:
+    """Fold one ``optimize._chain_parents`` result into a sha256."""
+    links, w, cost, (pin, pout, pbot) = result
+    parts = sorted(links.items()), w, cost, sorted(pin.items()), sorted(pout.items()), pbot
+    digest.update(repr(parts).encode())
 
 
 def shuffled(policy: Policy, rng: random.Random) -> Policy:
@@ -83,6 +96,7 @@ def variant_name(i: int) -> str:
 
 def main() -> int:
     bad = 0
+    digest = hashlib.sha256()
     for i in range(COUNT + CHAINS):
         policy = sweep_policy(i)
         got, want = optimal_partition(policy), flow_oracle(policy)
@@ -90,7 +104,8 @@ def main() -> int:
             got.khat, got.width, got.kmax, got.flow_cost
         ) == (want.khat, want.width, want.kmax, want.flow_cost)
         work = augment_with_maximum(policy)[0]
-        links, w, _, potentials = optimize._chain_parents(work)
+        result = links, w, _, potentials = optimize._chain_parents(work)
+        fold(digest, result)
         certified = not certificate_violations(work, links, w, potentials)
         if not same or not certified:
             bad += 1
@@ -99,7 +114,9 @@ def main() -> int:
                 f" {'differs' if not same else 'is not certified'}"
             )
     print(f"{COUNT + CHAINS} policies, {bad} differing from the flow oracle or not certified")
-    return 1 if bad else 0
+    same = digest.hexdigest() == DIGEST
+    print(f"kernel results sha256 {digest.hexdigest()}{'' if same else f'  FAILED: recorded {DIGEST}'}")
+    return 1 if bad or not same else 0
 
 
 if __name__ == "__main__":
