@@ -127,13 +127,16 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     Each potential is kept relative to a shift, and each search runs in
     distances shifted by that same shift, so no search rebuilds O(n)
     state. An out-node's or the bottom node's potential is base(v) + shift;
-    an in-node's is W(y) - b(y) + shift, held only as its key b(y). After a
-    search every node not settled closer than the sink moves by the sink's
-    distance, which is the new shift; only the nodes settled closer are
-    corrected, in one pass: base(v) falls and b(y) grows by the sink's
-    distance less the node's. The in-nodes sorted by b(y), with prefix
-    masks, persist across searches and are repaired for those in-nodes
-    only, in one re-sort per search.
+    an in-node's is W(y) - b(y) + shift, and its key b(y) is held where a
+    base would be. Every node's distance in a search, an in-node's best
+    offer too, is held in one list, so a heap entry of any node is stale
+    when it lies above its node's distance. After a search every node not
+    settled closer than the sink moves by the sink's distance, which is the
+    new shift; only the nodes settled closer are corrected, in one pass:
+    base(v) falls and b(y) grows by the sink's distance less the node's.
+    The in-nodes sorted by b(y), with prefix masks, persist across
+    searches and are repaired for those in-nodes only, in one re-sort per
+    search.
 
     Free out-nodes, those with a unit left on their source edge, all sit
     at potential 0. One other than r's has no chain child and is not
@@ -290,23 +293,26 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     INF = float("inf")
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    # the potential of node v is base[v] + shift, but in(y)'s is
-    # W(y) - b(y) + shift; the sink's stays shift, and neither a free
-    # out-node's nor a shared routed one's is kept
-    base = [0] * size
+    # potentials relative to shift: base[y] is in(y)'s key b(y), its
+    # potential being W(y) - b(y) + shift; an out-node's and the bottom
+    # node's potential is base[v] + shift, but neither a free out-node's
+    # nor a shared routed one's is kept; the source's slot is unused, and
+    # the sink's potential stays shift
+    base = weight + [0] * (n + 2)
     shift = 0
-    # shifted distances and predecessors; a free out-node holds 0 and the
-    # source
+    # shifted distances in the current search: in(y)'s is its best offer
+    # a + b(y), never reset, as it is read only after an offer in the same
+    # search; an out-node's and the bottom node's are reset at every
+    # search, but a free out-node holds 0; the source holds -1, below its
+    # heap entry, the zero layer's end mark
     dist: list[float] = [INF] * size
     dist[OUT:BOT] = [0] * n
-    dist[SRC] = -1  # the source's heap entry is the end of the zero layer
+    dist[SRC] = -1
     prev = [SRC] * size
     # the in-nodes as sorted keys (b(y), y) and their prefix masks:
     # within[k] holds the first k of them
-    offset = list(weight)  # b(y)
     keys = sorted(weight[y] * n + y for y in range(n) if y != r)
     within = list(accumulate((1 << k % n for k in keys), or_, initial=0))
-    best = [0] * n  # a(y) of every in-node reached in the current search
     # floor[x] <= b(y) * n + y for every in-node y in below[x], for the
     # whole call: the least key in below[x] now, as keys only grow, taken
     # over x's lower covers c bottom-up (a minimal label's is never read)
@@ -374,7 +380,9 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
             nxt = at + OUT - 1 + (queue & -queue).bit_length() if queue else INF
             pending = 0
             top_a = -INF  # the largest a handed to an in-node in this search
-            settled = []  # heap keys of the nodes settled before the sink, in order
+            # heap keys of the nodes settled, in order, up to the one that ends
+            # the search, which the correction leaves out
+            settled = []
             left = False  # the search left the zero layer under a dead mask
 
             while True:
@@ -382,32 +390,28 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                 if heap[0] < key:
                     key = heappop(heap)
                     d, u = divmod(key, size)
-                    if u < OUT:  # in(y)
-                        bit = 1 << u
-                        if not pending & bit:  # settled already: a stale entry
-                            continue
-                        pending ^= bit
-                        if unmatched & bit:  # b(y) = W(y): the sink is at y's distance
-                            last = u
-                            break
-                        settled.append(key)
-                        # in(y)'s potential is W(y) - b(y), and the edge back
-                        # to out(x) costs W(x) - W(y)
-                        x = parent[u]
-                        v = OUT + x
-                        nd = d - offset[u] + weight[x] - base[v]
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            prev[v] = u
-                            touched.append(v)
-                            heappush(heap, nd * size + v)
-                        continue
                     if d > dist[u]:  # a stale entry, or the zero layer's end
                         if u == SRC:
                             left = True
                             break
                         continue
                     settled.append(key)
+                    if u < OUT:  # in(y)
+                        pending ^= 1 << u
+                        if unmatched >> u & 1:  # b(y) = W(y): the sink is at y's distance
+                            last = u
+                            break
+                        # in(y)'s potential is W(y) - b(y), and the edge back
+                        # to out(x) costs W(x) - W(y)
+                        x = parent[u]
+                        v = OUT + x
+                        nd = d - base[u] + weight[x] - base[v]
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            prev[v] = u
+                            touched.append(v)
+                            heappush(heap, nd * size + v)
+                        continue
                     du = d + base[u]
                     if u == BOT:
                         if room:  # its base is 0: the sink is at its distance
@@ -466,7 +470,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                                 hi = _least_prefix(within, free_in, k)
                             else:  # a lone one: its key is W(y) * n + y
                                 y = free_in.bit_length() - 1
-                                hi = bisect_right(keys, offset[y] * n + y, 0, k)
+                                hi = bisect_right(keys, base[y] * n + y, 0, k)
                             bound = an + keys[hi - 1]
                             # and so is every offer to a matched in-node at the
                             # bound's distance: the search ends there at the
@@ -484,7 +488,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                             while old:
                                 low = old & -old
                                 old ^= low
-                                if a < best[low.bit_length() - 1]:
+                                y = low.bit_length() - 1
+                                if a + base[y] < dist[y]:
                                     better |= low
                         if better and a > top_a:
                             top_a = a
@@ -494,8 +499,8 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                             better ^= low
                             y = low.bit_length() - 1
                             prev[y] = u
-                            best[y] = a
-                            heappush(heap, (a + offset[y]) * size + y)
+                            nd = dist[y] = a + base[y]
+                            heappush(heap, nd * size + y)
                 elif zero:
                     log.append((x, du, 0, None))
                 nd = du - base[BOT]
@@ -535,15 +540,15 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
                     dead_in |= kids[x]
 
         # correct the nodes settled closer than the sink: base += dist -
-        # dist(sink), and b(y) -= the same, so a settled in-node's b(y)
-        # only grows; its key is re-placed in the b(y) order
+        # dist(sink), but an in-node's b(y) -= the same, so it only grows;
+        # its key is re-placed in the b(y) order
         old, new = [], []
         for key in settled[: bisect_left(settled, d * size)]:
             t, v = divmod(key, size)
             if v < OUT:
-                old.append(offset[v] * n + v)
-                offset[v] += d - t
-                new.append(offset[v] * n + v)
+                old.append(base[v] * n + v)
+                base[v] += d - t
+                new.append(base[v] * n + v)
             else:
                 base[v] += t - d
         if old:
@@ -587,7 +592,7 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     # a free out-node's potential is 0, a shared routed one's the bottom
     # node's; no out-node is free at the end
     shared = to_bottom & ~free & all_in
-    pin = {labels[y]: weight[y] - offset[y] + shift for y in range(n) if y != r}
+    pin = {labels[y]: weight[y] - base[y] + shift for y in range(n) if y != r}
     pout = {
         labels[x]: 0 if free >> x & 1 else base[BOT if shared >> x & 1 else OUT + x] + shift
         for x in range(n)
