@@ -4,8 +4,12 @@ Pipeline: guarantee a unique maximum (synthetic, zero users, if needed),
 solve the paper's min-cost flow on the poset's bitmasks, whose supply at
 the maximum is the width w that :meth:`Poset.width` computes, read the
 chain-parent links back into a chain partition with exactly w chains,
-strip the synthetic maximum again, and report the metrics. A chain, whose
-one partition the flow would find too, takes its links from its covers.
+strip the synthetic maximum again, and report the metrics. A policy with
+only one partition into w chains skips the flow, as that partition is the
+optimum: a chain takes its links from its covers, and a poset without a
+maximum whose width matching is its only maximum matching, such as a
+fence, an antichain or disjoint chains, takes them from that matching
+(:func:`optimal_partition` gives the test and its proof).
 
 The result minimizes the total number of issued secrets over all chain
 partitions while no user class ever holds more than w secrets. The flow
@@ -23,6 +27,7 @@ from itertools import accumulate
 from operator import or_
 
 from .errors import InternalError
+from .poset import Poset
 
 # not called here: bench/spans.py wraps the flow oracle's stages under
 # these names in this module
@@ -91,12 +96,13 @@ def _least_prefix(within: list[int], mask: int, hi: int) -> int:
 Potentials = tuple[dict[str, int], dict[str, int], int]
 
 
-def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
+def _chain_parents(work: Policy, w: int) -> tuple[dict[str, str], int, int, Potentials]:
     """Solve the min-cost flow of ``build_flow_network(work)`` on the
-    poset's bitmasks, without building the network.
+    poset's bitmasks, without building the network; w is the poset's
+    width, the supply at its maximum r.
 
     Returns the chain-parent links (child -> parent, one for every label
-    but the maximum r), the width w, the flow cost: the sum of
+    but r), the width w, the flow cost: the sum of
     W(up y) - W(up x) over the links x -> y, W being the user-weighted
     up-set size, and the final node potentials of :func:`min_cost_flow`:
     those of the in-nodes and the out-nodes by label, and the bottom
@@ -267,7 +273,6 @@ def _chain_parents(work: Policy) -> tuple[dict[str, str], int, int, Potentials]:
     p = work.poset
     n = len(p)
     r = p.index[p.maximum()]
-    w = p.width()
     users_in = _users_in(work)
     weight = [users_in(up) for up in p._up]
     below = [down ^ 1 << i for i, down in enumerate(p._down)]
@@ -607,25 +612,122 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
     holds more than width secrets. Deterministic: equal-cost optima are
     broken by the solver's fixed path selection, the one
     :func:`min_cost_flow` makes on :func:`build_flow_network`'s network.
-    A chain, read off its cover lists, skips the solver: it has one
-    partition, which the solver would find too.
+
+    A policy with only one partition into w chains, w being the width,
+    skips the solver. The solver's optimum is a w-chain partition too, so
+    it is that one: its links are the partition's, each chain top linked
+    to the maximum, synthetic or not, and its cost is the sum over the
+    chains of W(bottom) - W(maximum), as each chain's links telescope. A
+    chain is told from its cover lists. Otherwise, on a poset without a
+    maximum, the test is the width's own maximum matching M
+    (:meth:`Poset._chain_children`) of the bipartite graph with an edge
+    from y's left copy to x's right copy for each y < x. The w-chain
+    partitions are exactly the maximum matchings of that graph: a chain's
+    consecutive labels are matched pairs, and as the order is transitive
+    a matching's pairs link into n - |M| chains. So the partition is the
+    only one exactly when M is the only maximum matching, which holds
+    exactly when M has no alternating cycle and no even-length
+    alternating path from a free vertex (Gabow, Kaplan and Tarjan 2001):
+    two maximum matchings differ by such cycles and paths, and swapping M
+    along one gives another.
+
+    - A free vertex is the left copy of a chain top or the right copy of a
+      chain bottom. Each of its edges leads to a matched vertex, else M
+      would grow, and then on along that vertex's matched edge: such a
+      path exists exactly when a chain top lies below some label or a
+      chain bottom above one. Maximal labels are always chain tops and
+      minimal ones chain bottoms, so there is none exactly when the poset
+      has w maximal and w minimal labels.
+    - An alternating cycle runs from x's right copy to the left copy of
+      some y < x other than x's chain child, and along y's matched edge to
+      the right copy of y's chain parent, until it closes. With the first
+      test passed every label below another has a chain parent, so there
+      is none exactly when a depth-first walk in which x steps to the chain
+      parent of each such y finds no step back onto its own path; each
+      label is entered once.
+
+    A poset with a maximum and w > 1 always has another w-chain
+    partition, as the maximum can move onto any other chain, so it takes
+    the solver without the test.
     """
     if len(policy.poset) == 0:
         raise ValueError("cannot optimize an empty policy")
     work, top, added = augment_with_maximum(policy)
-    p = work.poset
-    # every label has a cover path up to the maximum, so n - 1 covers form
-    # a tree, and one in which no label has two lower covers is a chain:
-    # width 1 and one partition, which links each label to its one upper
-    # cover at a cost of W(y) - W(cover), the users at y
-    if len(p.covers) == len(p) - 1 and max(map(len, p._children)) <= 1:
-        labels = p.elements
-        links = {labels[y]: labels[ps[0]] for y, ps in enumerate(p._parents) if ps}
-        w = 1
-        cost = sum(work.user_count.values()) - work.count(top)
+    w, only = _only_partition(policy, top, added)
+    if only is None:
+        links, _, cost, _ = _chain_parents(work, w)
     else:
-        links, w, cost, _ = _chain_parents(work)
+        links, cost = only
     return _result(policy, work, top, added, links, w, cost)
+
+
+def _only_partition(
+    policy: Policy, top: str, added: bool
+) -> tuple[int, tuple[dict[str, str], int] | None]:
+    """The width w, and the chain-parent links and flow cost of the
+    policy's only w-chain partition, or None when it has more than one.
+
+    ``top`` and ``added`` are :func:`augment_with_maximum`'s; each chain
+    top links to ``top``. The width's matching is computed once, and not
+    at all on a chain.
+    """
+    p = policy.poset
+    labels = p.elements
+    if not added:
+        # every label has a cover path up to the maximum, so n - 1 covers
+        # form a tree, and one in which no label has two lower covers is a
+        # chain, linked along its covers at a cost of W(bottom) - W(top)
+        if len(p.covers) == len(p) - 1 and max(map(len, p._children)) <= 1:
+            links = {labels[y]: labels[ps[0]] for y, ps in enumerate(p._parents) if ps}
+            return 1, (links, sum(policy.user_count.values()) - policy.count(top))
+        return p.width(), None
+    child = p._chain_children()
+    w = child.count(-1)
+    parent = _only_matching(p, child, w)
+    if parent is None:
+        return w, None
+    # each chain's links, up to the synthetic top, add up to W(its bottom)
+    links = {labels[y]: labels[x] if x >= 0 else top for y, x in enumerate(parent)}
+    users_in = _users_in(policy)
+    return w, (links, sum(users_in(p._up[b]) for b, c in enumerate(child) if c < 0))
+
+
+def _only_matching(p: Poset, child: list[int], w: int) -> list[int] | None:
+    """The chain parents (-1 for a chain top) of the width matching
+    ``child`` of :meth:`Poset._chain_children`, with w chains, if it is the
+    poset's only maximum matching; else None. The two tests are those of
+    :func:`optimal_partition`.
+    """
+    if sum(not cs for cs in p._children) != w or sum(not ps for ps in p._parents) != w:
+        return None
+    parent = [-1] * len(p)
+    for x, c in enumerate(child):
+        if c >= 0:
+            parent[c] = x
+    # the walk enters a label through its chain child: the chain children
+    # of the labels entered, and of those on the path
+    down = p._down
+    entered = on_path = 0
+    for root, c in enumerate(child):
+        if c < 0 or entered >> c & 1:
+            continue
+        entered |= 1 << c
+        on_path |= 1 << c
+        path = [root]
+        while path:
+            x = path[-1]
+            steps = down[x] ^ 1 << x ^ 1 << child[x]
+            if steps & on_path:
+                return None
+            new = steps & ~entered
+            if new:
+                low = new & -new
+                entered |= low
+                on_path |= low
+                path.append(parent[low.bit_length() - 1])
+            else:
+                on_path ^= 1 << child[path.pop()]
+    return parent
 
 
 def _result(

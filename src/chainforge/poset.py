@@ -231,17 +231,27 @@ class Poset:
 
         Computed as |X| minus a maximum matching of the strict-order
         bipartite graph (minimum chain cover, which Dilworth's theorem
-        equates with the maximum antichain size). The matching is seeded
-        along the covers: top-down, each label takes a cover parent that no
-        label has taken yet. Augmenting paths are then searched once from
-        each label the seed leaves unmatched. A label with no augmenting path
-        never gains one when later paths are flipped, so none is left at the
-        end, and by Berge's theorem the matching is maximum. Paths are
-        searched on an explicit stack, so depth is not bounded by recursion.
+        equates with the maximum antichain size): the number of chain
+        bottoms of :meth:`_chain_children`.
+        """
+        if not self.elements:
+            raise ValueError("width of an empty poset is undefined")
+        return self._chain_children().count(-1)
+
+    def _chain_children(self) -> list[int]:
+        """Each label's chain child, by index, in a maximum matching of the
+        strict-order bipartite graph, -1 for a chain bottom: the chains
+        partition the poset into :meth:`width` chains (Fulkerson 1956).
+
+        The matching is seeded along the covers: top-down, each label takes
+        a cover parent that no label has taken yet. Augmenting paths are
+        then searched once from each label the seed leaves unmatched. A
+        label with no augmenting path never gains one when later paths are
+        flipped, so none is left at the end, and by Berge's theorem the
+        matching is maximum. Paths are searched on an explicit stack, so
+        depth is not bounded by recursion.
         """
         n = len(self.elements)
-        if n == 0:
-            raise ValueError("width of an empty poset is undefined")
         up, parents = self._up, self._parents
         match_of = [-1] * n  # right vertex -> its left vertex, -1 while free
         free = (1 << n) - 1  # right vertices not yet matched
@@ -275,8 +285,7 @@ class Poset:
                     path.pop()
                 else:
                     break
-        # each unmatched right vertex is the bottom of one chain in the cover
-        return free.bit_count()
+        return match_of
 
     def is_chain_partition(self, blocks: Iterable[Iterable[str]]) -> bool:
         """True iff the blocks are disjoint chains that cover all elements.

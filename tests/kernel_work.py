@@ -58,8 +58,9 @@ ROWS = [
     # distance 0 and each search k is offered in(0..k) there: about n^2 / 2
     # pops unless the offers to matched in-nodes at the sink bound's
     # distance are cut, as the search ends before any out-node they lead to.
-    # The total order takes the kernel only when called directly; the
-    # near-chain takes it from optimal_partition too
+    # The total order and the fences, each with only one w-chain partition,
+    # take the kernel only when called directly; the near-chain takes it
+    # from optimal_partition too
     ("bottom_first(fence(250, 3, False))", lambda: bottom_first(fence(250, 3, False)), 8734, 9036, 283, 250, 1908),
     ("Policy(total_order(1200, 1, False).poset)", lambda: Policy(total_order(1200, 1, False).poset),
      1200, 2399, 0, 1, 0),

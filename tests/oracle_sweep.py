@@ -11,7 +11,8 @@ after them are total orders of 1 to 40 labels, which ``optimal_partition``
 reads off their covers without the kernel, declared bottom-first,
 top-first or shuffled, by i mod 3, with users on a tenth, three tenths or
 all of their labels. The sweep prints every policy whose partition text or
-metrics differ from the oracle's, or whose chain-parent links the
+metrics, from ``optimal_partition`` or from the chain-parent kernel
+itself, differ from the oracle's, or whose chain-parent links the
 optimality certificate of ``chainforge.certify`` rejects, and exits 1 if
 any does. It also folds every ``optimize._chain_parents`` result (links,
 w, cost and potentials) into one sha256 and exits 1 unless that digest
@@ -99,13 +100,18 @@ def main() -> int:
     digest = hashlib.sha256()
     for i in range(COUNT + CHAINS):
         policy = sweep_policy(i)
-        got, want = optimal_partition(policy), flow_oracle(policy)
-        same = partition_text(got.partition) == partition_text(want.partition) and (
-            got.khat, got.width, got.kmax, got.flow_cost
-        ) == (want.khat, want.width, want.kmax, want.flow_cost)
-        work = augment_with_maximum(policy)[0]
-        result = links, w, _, potentials = optimize._chain_parents(work)
+        work, top, added = augment_with_maximum(policy)
+        result = links, w, cost, potentials = optimize._chain_parents(work, work.poset.width())
         fold(digest, result)
+        # the kernel's own answer too, as optimal_partition skips it on a
+        # policy with only one w-chain partition
+        want = flow_oracle(policy)
+        same = all(
+            partition_text(got.partition) == partition_text(want.partition)
+            and (got.khat, got.width, got.kmax, got.flow_cost)
+            == (want.khat, want.width, want.kmax, want.flow_cost)
+            for got in (optimal_partition(policy), optimize._result(policy, work, top, added, links, w, cost))
+        )
         certified = not certificate_violations(work, links, w, potentials)
         if not same or not certified:
             bad += 1

@@ -13,9 +13,10 @@ as a whole, the chain-parent kernel, decoding its links into the result
 ``total_secrets``, ``ces.setup``, one ``derive`` (a maximal label's
 bundle deriving the key of a minimal label below it), and, on the rows
 of at most 200 labels, ``correctness_audit``. ``optimal_partition``
-takes a width-1 policy's one chain from its covers without the kernel,
-so on such a row (the total order) the kernel cell, marked ``+``, is
-not part of the pipeline. It prints the table in milliseconds with the
+takes the partition of a policy with only one w-chain partition without
+the kernel (``optimize._only_partition`` decides), so on such a row (the
+fences and the total order) the kernel cell, marked ``+``, is not part
+of the pipeline. It prints the table in milliseconds with the
 benchmark's speed kernel (``bench/speed.py``) sampled before and after
 it, and writes the same numbers in seconds to ``BENCH_stages.json``,
 with the rows whose kernel is off the pipeline. It gates nothing.
@@ -63,10 +64,12 @@ def stage_times(policy):
     times = {}
     times["parse"], _ = best_of_three(lambda: parse_policy(text))
     times["poset"], _ = best_of_three(lambda: Poset(p.elements, p.covers))
-    times["width"], width = best_of_three(p.width)
+    times["width"], _ = best_of_three(p.width)
     times["optimal_partition"], _ = best_of_three(lambda: optimize.optimal_partition(policy))
     work, top, added = augment_with_maximum(policy)
-    times["kernel"], (links, w, cost, _) = best_of_three(lambda: optimize._chain_parents(work))
+    times["kernel"], (links, w, cost, _) = best_of_three(
+        lambda: optimize._chain_parents(work, work.poset.width())
+    )
     times["decode"], result = best_of_three(
         lambda: optimize._result(policy, work, top, added, links, w, cost)
     )
@@ -89,7 +92,7 @@ def stage_times(policy):
         )
         if not ok:
             raise SystemExit("correctness_audit rejected the key material")
-    return times, width == 1
+    return times, optimize._only_partition(policy, top, added)[1] is not None
 
 
 def speed_samples(probe, count=3):
@@ -101,8 +104,8 @@ def main() -> int:
     speed = speed_samples(probe)
     rows, off_path = {}, []
     for name, make, *_ in BASELINE:
-        rows[name], chain = stage_times(make())
-        if chain:
+        rows[name], only = stage_times(make())
+        if only:
             off_path.append(name)
     speed += speed_samples(probe)
 

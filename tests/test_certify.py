@@ -23,7 +23,7 @@ SMALL_ROWS = [row for row in ROWS if row[0] in SMALL]
 def kernel(policy):
     """The augmented policy and the kernel's links, w, cost and potentials."""
     work = augment_with_maximum(policy)[0]
-    return (work,) + optimize._chain_parents(work)
+    return (work,) + optimize._chain_parents(work, work.poset.width())
 
 
 def certified(policy):

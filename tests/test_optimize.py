@@ -270,11 +270,14 @@ class TestAgainstFlowOracle:
     not only an equally cheap one."""
 
     def assert_same(self, policy):
-        got, want = optimal_partition(policy), flow_oracle(policy)
-        assert partition_text(got.partition) == partition_text(want.partition)
-        assert (got.khat, got.width, got.kmax, got.flow_cost) == (
-            want.khat, want.width, want.kmax, want.flow_cost,
-        )
+        # the kernel too: optimal_partition skips it on a policy with only
+        # one w-chain partition, such as a fence
+        want = flow_oracle(policy)
+        for got in (optimal_partition(policy), kernel_result(policy)):
+            assert partition_text(got.partition) == partition_text(want.partition)
+            assert (got.khat, got.width, got.kmax, got.flow_cost) == (
+                want.khat, want.width, want.kmax, want.flow_cost,
+            )
 
     def test_random_policies(self):
         for policy in random_policies(150, 24, seed=503):
@@ -527,9 +530,9 @@ class TestDeadMaskAgainstFlowOracle:
 
 def kernel_result(policy):
     """optimal_partition's answer computed through ``_chain_parents``
-    whatever the poset's width."""
+    whatever the poset, also where optimal_partition skips the kernel."""
     work, top, added = augment_with_maximum(policy)
-    links, w, cost, _ = optimize._chain_parents(work)
+    links, w, cost, _ = optimize._chain_parents(work, work.poset.width())
     return optimize._result(policy, work, top, added, links, w, cost)
 
 
@@ -584,24 +587,163 @@ class TestWidthOne:
             for policy in chain_variants(n, n):
                 assert optimal_partition(policy).width == 1
 
-    def test_trees_with_n_minus_1_covers_take_the_kernel(self, monkeypatch):
+    def test_trees_with_n_minus_1_covers_take_the_kernel(self, kernel_calls):
         # n - 1 covers, but a label with two lower covers, or two maximal
-        # labels, which a synthetic top joins with two more covers
-        calls = Counter()
-        kernel = optimize._chain_parents
-
-        def counted(work):
-            calls["n"] += 1
-            return kernel(work)
-
-        monkeypatch.setattr(optimize, "_chain_parents", counted)
+        # labels, which a synthetic top joins with two more covers; each
+        # has more than one w-chain partition (a fence has one, and skips
+        # the kernel: TestForcedPartition)
         vee = Poset(["a", "b", "top"], [("a", "top"), ("b", "top")])
         wedge = Poset(["bot", "a", "b"], [("bot", "a"), ("bot", "b")])
-        for policy in (Policy.unit(vee), Policy.unit(wedge), fence(3, 0, False), fence(40, 1, True)):
+        for policy in (Policy.unit(vee), Policy.unit(wedge), comb(2, 0), comb(20, 1)):
             assert len(policy.poset.covers) == len(policy.poset) - 1
             self.same(optimal_partition(policy), flow_oracle(policy))
         # each policy once in optimal_partition
-        assert calls["n"] == 4
+        assert kernel_calls["n"] == 4
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the calls of ``optimize._chain_parents`` under
+    ``kernel_calls["n"]``."""
+    calls = Counter()
+    kernel = optimize._chain_parents
+
+    def counted(*args):
+        calls["n"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(optimize, "_chain_parents", counted)
+    return calls
+
+
+def comb(teeth, seed):
+    """A spine s0 < s1 < ... with a tooth above each spine label: a tree of
+    n - 1 covers with no maximum, width ``teeth`` and one minimal label,
+    so more than one w-chain partition."""
+    s = [f"s{i}" for i in range(teeth)]
+    t = [f"t{i}" for i in range(teeth)]
+    covers = list(zip(s, s[1:])) + list(zip(s, t))
+    rng = random.Random(seed)
+    return Policy(Poset(s + t, covers), {x: rng.randint(0, 5) for x in s + t})
+
+
+def disjoint_chains(lengths, seed):
+    """Chains of the given lengths with no common label, declared in a
+    shuffled order."""
+    rng = random.Random(seed)
+    chains = [[f"k{c}_{i}" for i in range(k)] for c, k in enumerate(lengths)]
+    labels = [x for chain in chains for x in chain]
+    rng.shuffle(labels)
+    covers = [cover for chain in chains for cover in zip(chain, chain[1:])]
+    return Policy(Poset(labels, covers), {x: rng.randint(0, 5) for x in labels})
+
+
+class TestForcedPartition:
+    """A poset without a maximum whose width matching is its only maximum
+    matching has only one w-chain partition, which optimal_partition takes
+    from the matching without the kernel; it must be the kernel's and the
+    flow oracle's. Posets with another w-chain partition must still take
+    the kernel."""
+
+    @staticmethod
+    def assert_forced(kernel_calls, policy, oracle=True):
+        kernel_calls.clear()
+        got = optimal_partition(policy)
+        assert kernel_calls["n"] == 0
+        TestWidthOne.same(got, kernel_result(policy))
+        if oracle:
+            TestWidthOne.same(got, flow_oracle(policy))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["increasing", "reversed"])
+    def test_fences(self, kernel_calls, reverse):
+        for tops, seed in ((1, 0), (2, 1), (3, 0), (40, 1)):
+            self.assert_forced(kernel_calls, fence(tops, seed, reverse))
+        self.assert_forced(kernel_calls, fence(250, 3, reverse), oracle=False)
+
+    def test_fence_variants(self, kernel_calls):
+        rng = random.Random(7)
+        for tops, seed in ((5, 2), (30, 3)):
+            base = fence(tops, seed, False)
+            labels = list(base.poset.elements)
+            rng.shuffle(labels)
+            for policy in (
+                bottom_first(base),
+                Policy(Poset(labels, base.poset.covers), base.user_count),
+                sparse_users(fence(tops, seed, True), seed, share=0.3),
+                Policy(base.poset),
+            ):
+                self.assert_forced(kernel_calls, policy)
+
+    def test_antichains(self, kernel_calls):
+        for k in (2, 3, 9):
+            labels = [f"a{i}" for i in range(k)]
+            self.assert_forced(kernel_calls, Policy(Poset(labels), {x: i % 4 for i, x in enumerate(labels)}))
+
+    def test_disjoint_chains(self, kernel_calls):
+        for lengths, seed in (((2, 1), 0), ((3, 5, 1), 1), ((4, 4, 4, 2), 2)):
+            self.assert_forced(kernel_calls, disjoint_chains(lengths, seed))
+        self.assert_forced(kernel_calls, disjoint_chains((300, 1, 120, 41), 3), oracle=False)
+
+    def test_others_take_the_kernel(self, kernel_calls):
+        wedge = Policy.unit(Poset(["bot", "a", "b"], [("bot", "a"), ("bot", "b")]))
+        # a 2+2 crown, b0 and b1 both below t0 and t1: its two perfect
+        # matchings have the same chain bottoms, so the same cost, and the
+        # width's (t0 over b1) is not the one the solver picks
+        crown = Policy(
+            Poset(["t0", "t1", "b0", "b1"], [("b0", "t0"), ("b0", "t1"), ("b1", "t0"), ("b1", "t1")]),
+            {"b0": 1, "b1": 2, "t0": 3},
+        )
+        assert crown.poset._chain_children() == [3, 2, -1, -1]
+        assert set(flow_oracle(crown).partition.chains) == {("t0", "b0"), ("t1", "b1")}
+        # the width matching (a over mid over bot, and b) leaves b a chain
+        # bottom above mid, and its partition costs more than the optimum
+        fork = Policy(
+            Poset(["a", "b", "mid", "bot"], [("mid", "a"), ("mid", "b"), ("bot", "mid")]),
+            {"b": 4, "bot": 1},
+        )
+        assert fork.poset._chain_children() == [2, -1, 3, -1]
+        assert set(flow_oracle(fork).partition.chains) == {("a",), ("b", "mid", "bot")}
+        # the width matching (c over b, and a and d) leaves a a chain top
+        # below c
+        stray = Policy(Poset(["a", "b", "c", "d"], [("a", "c"), ("b", "c")]), {"a": 2, "d": 1})
+        assert stray.poset._chain_children() == [-1, -1, 1, -1]
+        for policy in (wedge, crown, fork, stray, with_maximum_at(fence(6, 2, False), 3)):
+            kernel_calls.clear()
+            got = optimal_partition(policy)
+            assert kernel_calls["n"] == 1
+            TestWidthOne.same(got, flow_oracle(policy))
+
+
+@pytest.fixture
+def matchings(monkeypatch):
+    """Counts the calls of ``Poset._chain_children``, the width's maximum
+    matching, under ``matchings["n"]``."""
+    calls = Counter()
+    match = Poset._chain_children
+
+    def counted(self):
+        calls["n"] += 1
+        return match(self)
+
+    monkeypatch.setattr(Poset, "_chain_children", counted)
+    return calls
+
+
+class TestMatchingBudget:
+    """optimal_partition computes the width's maximum matching once, both
+    when it tests the matching and then calls the kernel, which takes the
+    width from it, and when it takes the partition from the matching; a
+    chain needs none."""
+
+    @pytest.mark.parametrize("make, kernel, count", [
+        (lambda: random_policy(80, 0.1, seed=1), 1, 1),  # no maximum: tested, then solved
+        (lambda: fence(60, 2, False), 0, 1),
+        (lambda: with_maximum_at(random_policy(30, 0.2, seed=2), 15), 1, 1),  # not tested
+        (lambda: total_order(60, 3, True), 0, 0),
+    ], ids=["random", "fence", "maximum", "chain"])
+    def test_optimal_partition(self, kernel_calls, matchings, make, kernel, count):
+        optimal_partition(make())
+        assert (kernel_calls["n"], matchings["n"]) == (kernel, count)
 
 
 # partitions too large for the flow oracle, pinned by the sha256 of their
@@ -675,7 +817,7 @@ def kernel_heap_work(policy):
     heapq.heappop, heapq.heappush = counted_pop, counted_push
     optimize._least_prefix = counted_least_prefix
     try:
-        result = optimize._chain_parents(work)
+        result = optimize._chain_parents(work, work.poset.width())
     finally:
         heapq.heappop, heapq.heappush = pop, push
         optimize._least_prefix = least_prefix

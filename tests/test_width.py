@@ -74,12 +74,28 @@ def shuffled(p: Poset, rng: random.Random) -> Poset:
     return Poset(labels, covers)
 
 
+def matching_chains(p: Poset) -> list[list[str]]:
+    """The chains of the width's matching, each walked down its chain
+    children from a label that is no label's chain child."""
+    child = p._chain_children()
+    chains = []
+    for top in sorted(set(range(len(p))) - set(child)):
+        chain = [top]
+        while child[chain[-1]] >= 0:
+            chain.append(child[chain[-1]])
+        chains.append([p.elements[i] for i in chain])
+    return chains
+
+
 def test_small_posets_in_any_declaration_order():
     rng = random.Random(5)
     for i in range(600):
         p = random_policy(rng.randint(1, 30), rng.choice((0.05, 0.1, 0.2, 0.4, 0.8)), i).poset
         for q in (p, shuffled(p, rng), p.with_top("r")):
             assert q.width() == ref_width(q)
+            # the matching itself is a partition into width-many chains
+            chains = matching_chains(q)
+            assert q.is_chain_partition(chains) and len(chains) == q.width()
 
 
 @pytest.mark.parametrize("n, density", [(50, 0.2), (100, 0.2), (200, 0.1), (400, 0.05), (800, 0.05)])
