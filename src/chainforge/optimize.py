@@ -6,10 +6,11 @@ the maximum is the width w that :meth:`Poset.width` computes, read the
 chain-parent links back into a chain partition with exactly w chains,
 strip the synthetic maximum again, and report the metrics. A policy with
 only one partition into w chains skips the flow, as that partition is the
-optimum: a chain takes its links from its covers, and a poset without a
-maximum whose width matching is its only maximum matching, such as a
-fence, an antichain or disjoint chains, takes them from that matching
-(:func:`optimal_partition` gives the test and its proof).
+optimum: a chain takes its links from its covers, and any other policy
+takes them from the width's maximum matching when, less its maximum,
+declared or synthetic, the poset has only that one w-chain partition, as
+a fence, an antichain or disjoint chains have, with a maximum over them
+or not (:func:`optimal_partition` gives the test and its proof).
 
 The result minimizes the total number of issued secrets over all chain
 partitions while no user class ever holds more than w secrets. The flow
@@ -615,45 +616,57 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
 
     A policy with only one partition into w chains, w being the width,
     skips the solver. The solver's optimum is a w-chain partition too, so
-    it is that one: its links are the partition's, each chain top linked
-    to the maximum, synthetic or not, and its cost is the sum over the
-    chains of W(bottom) - W(maximum), as each chain's links telescope. A
-    chain is told from its cover lists. Otherwise, on a poset without a
-    maximum, the test is the width's own maximum matching M
-    (:meth:`Poset._chain_children`) of the bipartite graph with an edge
-    from y's left copy to x's right copy for each y < x. The w-chain
-    partitions are exactly the maximum matchings of that graph: a chain's
-    consecutive labels are matched pairs, and as the order is transitive
-    a matching's pairs link into n - |M| chains. So the partition is the
-    only one exactly when M is the only maximum matching, which holds
-    exactly when M has no alternating cycle and no even-length
-    alternating path from a free vertex (Gabow, Kaplan and Tarjan 2001):
-    two maximum matchings differ by such cycles and paths, and swapping M
-    along one gives another.
+    it is that one. A chain is told from its cover lists and its links are
+    its covers. Any other policy is tested on ``work``, the policy with a
+    maximum r (:func:`augment_with_maximum`), of n >= 2 labels, less r:
+
+    1. work - r has width w, as r is comparable to every label.
+    2. In a w-chain partition of work, r's chain is not r alone, or
+       work - r would split into w - 1 chains. So removing r leaves a
+       w-chain partition of work - r, and r can head any of its chains.
+    3. The solver's links are work - r's chain links plus a link from every
+       chain top to r, whichever chain r heads (:func:`_chains_from_parents`
+       picks it by declaration index). So they are forced exactly when
+       work - r has only one w-chain partition. The w-chain partitions of
+       work - r are exactly the maximum matchings of the bipartite graph
+       with an edge from y's left copy to x's right copy for each y < x: a
+       chain's consecutive labels are matched pairs, and as the order is
+       transitive a matching's pairs link into n - 1 - |M| chains. So the
+       partition is the only one exactly when a maximum matching M is the
+       only one, which holds exactly when M has no alternating cycle and no
+       even-length alternating path from a free vertex (Gabow, Kaplan and
+       Tarjan 2001): two maximum matchings differ by such cycles and
+       paths, and swapping M along one gives another.
+    4. M is the width's own matching of the policy's poset
+       (:meth:`Poset._chain_children`) when r is synthetic, and that
+       matching less r's edge when r is declared. A declared r is always
+       matched, or that matching, one of work - r, would exceed work - r's
+       maximum.
+    5. Per chain the links telescope to W(bottom) - W(r), W being the
+       user-weighted up-set size, so the cost is the sum of W(bottom) over
+       the chains less w * users(r), and khat is that sum.
+
+    The two tests of step 3, on work - r:
 
     - A free vertex is the left copy of a chain top or the right copy of a
       chain bottom. Each of its edges leads to a matched vertex, else M
       would grow, and then on along that vertex's matched edge: such a
       path exists exactly when a chain top lies below some label or a
       chain bottom above one. Maximal labels are always chain tops and
-      minimal ones chain bottoms, so there is none exactly when the poset
-      has w maximal and w minimal labels.
+      minimal ones chain bottoms, so there is none exactly when r has w
+      lower covers and work has w minimal labels.
     - An alternating cycle runs from x's right copy to the left copy of
       some y < x other than x's chain child, and along y's matched edge to
       the right copy of y's chain parent, until it closes. With the first
-      test passed every label below another has a chain parent, so there
-      is none exactly when a depth-first walk in which x steps to the chain
-      parent of each such y finds no step back onto its own path; each
-      label is entered once.
-
-    A poset with a maximum and w > 1 always has another w-chain
-    partition, as the maximum can move onto any other chain, so it takes
-    the solver without the test.
+      test passed every label below another but r has a chain parent, so
+      there is none exactly when a depth-first walk in which x steps to
+      the chain parent of each such y finds no step back onto its own
+      path; each label is entered once.
     """
     if len(policy.poset) == 0:
         raise ValueError("cannot optimize an empty policy")
     work, top, added = augment_with_maximum(policy)
-    w, only = _only_partition(policy, top, added)
+    w, only = _only_partition(policy, work, top)
     if only is None:
         links, _, cost, _ = _chain_parents(work, w)
     else:
@@ -662,43 +675,45 @@ def optimal_partition(policy: Policy) -> OptimizationResult:
 
 
 def _only_partition(
-    policy: Policy, top: str, added: bool
+    policy: Policy, work: Policy, top: str
 ) -> tuple[int, tuple[dict[str, str], int] | None]:
     """The width w, and the chain-parent links and flow cost of the
     policy's only w-chain partition, or None when it has more than one.
 
-    ``top`` and ``added`` are :func:`augment_with_maximum`'s; each chain
-    top links to ``top``. The width's matching is computed once, and not
-    at all on a chain.
+    ``work`` and ``top`` are :func:`augment_with_maximum`'s, the policy
+    with a maximum and that maximum r; each chain top links to r. The
+    width's matching is computed once, and not at all on a chain.
     """
-    p = policy.poset
+    p = work.poset
     labels = p.elements
-    if not added:
-        # every label has a cover path up to the maximum, so n - 1 covers
-        # form a tree, and one in which no label has two lower covers is a
-        # chain, linked along its covers at a cost of W(bottom) - W(top)
-        if len(p.covers) == len(p) - 1 and max(map(len, p._children)) <= 1:
-            links = {labels[y]: labels[ps[0]] for y, ps in enumerate(p._parents) if ps}
-            return 1, (links, sum(policy.user_count.values()) - policy.count(top))
-        return p.width(), None
-    child = p._chain_children()
+    # every label has a cover path up to r, so n - 1 covers form a tree,
+    # and one in which no label has two lower covers is a chain, linked
+    # along its covers at a cost of W(bottom) - W(r)
+    if len(p.covers) == len(p) - 1 and max(map(len, p._children)) <= 1:
+        links = {labels[y]: labels[ps[0]] for y, ps in enumerate(p._parents) if ps}
+        return 1, (links, sum(work.user_count.values()) - work.count(top))
+    child = policy.poset._chain_children()
     w = child.count(-1)
-    parent = _only_matching(p, child, w)
+    # r gives up its chain child when declared, and is appended last when
+    # synthetic: the matching of work - r
+    r = p.index[top]
+    child[r : r + 1] = [-1]
+    parent = _only_matching(p, child, w, r)
     if parent is None:
         return w, None
-    # each chain's links, up to the synthetic top, add up to W(its bottom)
-    links = {labels[y]: labels[x] if x >= 0 else top for y, x in enumerate(parent)}
-    users_in = _users_in(policy)
-    return w, (links, sum(users_in(p._up[b]) for b, c in enumerate(child) if c < 0))
+    links = {labels[y]: labels[x] if x >= 0 else top for y, x in enumerate(parent) if y != r}
+    # each chain's links, up to r, add up to W(its bottom) - W(r)
+    bottoms = (p._up[b] for b, c in enumerate(child) if c < 0 and b != r)
+    return w, (links, sum(map(_users_in(work), bottoms)) - w * work.count(top))
 
 
-def _only_matching(p: Poset, child: list[int], w: int) -> list[int] | None:
-    """The chain parents (-1 for a chain top) of the width matching
-    ``child`` of :meth:`Poset._chain_children`, with w chains, if it is the
-    poset's only maximum matching; else None. The two tests are those of
-    :func:`optimal_partition`.
+def _only_matching(p: Poset, child: list[int], w: int, r: int) -> list[int] | None:
+    """The chain parents (-1 for a chain top) of ``child``, a maximum
+    matching with w chains of p less its maximum r, if it is that poset's
+    only maximum matching; else None. r has no chain child. The two tests
+    are those of :func:`optimal_partition`.
     """
-    if sum(not cs for cs in p._children) != w or sum(not ps for ps in p._parents) != w:
+    if len(p._children[r]) != w or sum(not cs for cs in p._children) != w:
         return None
     parent = [-1] * len(p)
     for x, c in enumerate(child):

@@ -13,10 +13,12 @@ as a whole, the chain-parent kernel, decoding its links into the result
 ``total_secrets``, ``ces.setup``, one ``derive`` (a maximal label's
 bundle deriving the key of a minimal label below it), and, on the rows
 of at most 200 labels, ``correctness_audit``. ``optimal_partition``
-takes the partition of a policy with only one w-chain partition without
-the kernel (``optimize._only_partition`` decides), so on such a row (the
-fences and the total order) the kernel cell, marked ``+``, is not part
-of the pipeline. It prints the table in milliseconds with the
+takes the partition without the kernel when the policy, less its
+maximum if it has one, declared or not, has only one w-chain partition
+(``optimize._only_partition(policy, work, top)`` decides, on the policy
+that ``augment_with_maximum`` returns and its maximum), so on such a row
+(the fences and the total order) the kernel cell, marked ``+``, is not
+part of the pipeline. It prints the table in milliseconds with the
 benchmark's speed kernel (``bench/speed.py``) sampled before and after
 it, and writes the same numbers in seconds to ``BENCH_stages.json``,
 with the rows whose kernel is off the pipeline. It gates nothing.
@@ -92,7 +94,7 @@ def stage_times(policy):
         )
         if not ok:
             raise SystemExit("correctness_audit rejected the key material")
-    return times, optimize._only_partition(policy, top, added)[1] is not None
+    return times, optimize._only_partition(policy, work, top)[1] is not None
 
 
 def speed_samples(probe, count=3):

@@ -86,6 +86,27 @@ class TestCertificate:
                     assert certificate_violations(work, mutant, w, potentials)
         assert costlier > 400
 
+    def test_costlier_potentials_are_rejected(self):
+        # the link mutants above trip the link check first; these keep the
+        # kernel's links and move one potential, so that an empty arc's
+        # reduced cost turns negative
+        work, links, w, _, (pin, pout, pbot) = kernel(fence(6, 1, False))
+        p = work.poset
+        r = p.maximum()
+        # y's in-node raised: the empty arcs into it from z, above y but not
+        # its chain parent, and from r, whose chain child y is not
+        y, z = next(
+            (y, z) for y, x in links.items() if x != r for z in p.up_set(y) if z not in (y, x, r)
+        )
+        bad = certificate_violations(work, links, w, ({**pin, y: pin[y] + 100}, pout, pbot))
+        assert f"arc {z!r} -> {y!r}: a({y!r}) > b({z!r})" in bad
+        assert f"arc {r!r} -> {y!r}: a > b({r!r})" in bad
+        # y's chain parent's out-node lowered below the bottom node's, to
+        # which it does not route
+        x = links[y]
+        bad = certificate_violations(work, links, w, (pin, {**pout, x: pbot - 1}, pbot))
+        assert f"{x!r} does not route to the bottom node, below its potential" in bad
+
     def test_infeasible_links_are_rejected(self):
         work, links, w, _, potentials = kernel(fence(6, 1, False))
         r = work.poset.maximum()

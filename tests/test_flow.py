@@ -83,6 +83,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             net.add_arc(vout("a"), BOTTOM, 0, 2, 5)
 
+    def test_malformed_network_rejected(self):
+        net = FlowNetwork([vout("a"), BOTTOM])
+        with pytest.raises(ValueError, match="arc endpoint not a node"):
+            net.add_arc(vout("a"), vin("a"), 0, 1, 0)
+        for lower, upper in ((-1, 1), (2, 1)):
+            with pytest.raises(ValueError, match="need upper >= lower >= 0"):
+                net.add_arc(vout("a"), BOTTOM, lower, upper, 0)
+        with pytest.raises(ValueError, match="not a node"):
+            net.set_balance(vin("a"), 1)
+        net.set_balance(BOTTOM, -1)
+        with pytest.raises(ValueError, match="do not sum to zero"):
+            net.check()
+        net.set_balance(vout("a"), 1)
+        net.check()
+
 
 class TestLowerBoundElimination:
     def test_chain_network_offset_is_zero(self, demo_net):

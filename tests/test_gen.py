@@ -26,6 +26,16 @@ def test_pinned_output(args):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[args]
 
 
+@pytest.mark.parametrize("n, density, message", [
+    (0, 0.5, "at least one element"),
+    (5, -0.1, "density must be in"),
+    (5, 1.5, "density must be in"),
+], ids=["no-labels", "density-below-0", "density-above-1"])
+def test_bad_arguments_rejected(n, density, message):
+    with pytest.raises(ValueError, match=message):
+        random_policy(n, density, seed=0)
+
+
 def reduced_sample(n, density, seed):
     """The covers of random_policy(n, density, seed), from the same draws
     reduced by definition: i < j is a cover iff j is reachable from i and

@@ -590,11 +590,14 @@ class TestWidthOne:
     def test_trees_with_n_minus_1_covers_take_the_kernel(self, kernel_calls):
         # n - 1 covers, but a label with two lower covers, or two maximal
         # labels, which a synthetic top joins with two more covers; each
-        # has more than one w-chain partition (a fence has one, and skips
-        # the kernel: TestForcedPartition)
-        vee = Poset(["a", "b", "top"], [("a", "top"), ("b", "top")])
+        # has more than one w-chain partition, also less its maximum (a
+        # fence has one, under a maximum or not, and skips the kernel:
+        # TestForcedPartition)
+        tree = Poset(
+            ["top", "a", "b", "c", "d"], [("a", "top"), ("b", "top"), ("c", "a"), ("d", "a")]
+        )
         wedge = Poset(["bot", "a", "b"], [("bot", "a"), ("bot", "b")])
-        for policy in (Policy.unit(vee), Policy.unit(wedge), comb(2, 0), comb(20, 1)):
+        for policy in (Policy.unit(tree), Policy.unit(wedge), comb(2, 0), comb(20, 1)):
             assert len(policy.poset.covers) == len(policy.poset) - 1
             self.same(optimal_partition(policy), flow_oracle(policy))
         # each policy once in optimal_partition
@@ -639,11 +642,12 @@ def disjoint_chains(lengths, seed):
 
 
 class TestForcedPartition:
-    """A poset without a maximum whose width matching is its only maximum
-    matching has only one w-chain partition, which optimal_partition takes
-    from the matching without the kernel; it must be the kernel's and the
-    flow oracle's. Posets with another w-chain partition must still take
-    the kernel."""
+    """A poset that, less its maximum if it has one, has only one w-chain
+    partition has forced links: the maximum heads one of its chains, and
+    every chain top links to it. optimal_partition takes them from the
+    width's matching without the kernel; they must be the kernel's and the
+    flow oracle's. Posets with another w-chain partition, less their
+    maximum, must still take the kernel."""
 
     @staticmethod
     def assert_forced(kernel_calls, policy, oracle=True):
@@ -684,6 +688,35 @@ class TestForcedPartition:
             self.assert_forced(kernel_calls, disjoint_chains(lengths, seed))
         self.assert_forced(kernel_calls, disjoint_chains((300, 1, 120, 41), 3), oracle=False)
 
+    def test_under_a_maximum(self, kernel_calls):
+        # a declared maximum r, first, mid-list or last, over posets with
+        # one w-chain partition: r heads one of its chains, and each chain
+        # top links to r; users at r (with_maximum_at gives it 3) take
+        # w * users(r) off the cost
+        rng = random.Random(11)
+        bases = [Policy.unit(Poset(["a", "b"]))]  # under r, the vee
+        for tops, seed in ((1, 0), (4, 1), (25, 2)):
+            base = fence(tops, seed, False)
+            labels = list(base.poset.elements)
+            rng.shuffle(labels)
+            bases += [
+                base,
+                fence(tops, seed, True),
+                bottom_first(base),
+                Policy(Poset(labels, base.poset.covers), base.user_count),
+                sparse_users(base, seed, share=0.3),
+            ]
+        for k in (2, 3, 9):
+            labels = [f"a{i}" for i in range(k)]
+            bases.append(Policy(Poset(labels), {x: i % 4 for i, x in enumerate(labels)}))
+        for lengths, seed in (((2, 1), 0), ((3, 5, 1), 1), ((4, 4, 4, 2), 2)):
+            bases.append(disjoint_chains(lengths, seed))
+        for base in bases:
+            n = len(base.poset)
+            for position in (0, n // 2, n):
+                self.assert_forced(kernel_calls, with_maximum_at(base, position))
+        self.assert_forced(kernel_calls, with_maximum_at(fence(250, 3, False), 125), oracle=False)
+
     def test_others_take_the_kernel(self, kernel_calls):
         wedge = Policy.unit(Poset(["bot", "a", "b"], [("bot", "a"), ("bot", "b")]))
         # a 2+2 crown, b0 and b1 both below t0 and t1: its two perfect
@@ -707,7 +740,10 @@ class TestForcedPartition:
         # below c
         stray = Policy(Poset(["a", "b", "c", "d"], [("a", "c"), ("b", "c")]), {"a": 2, "d": 1})
         assert stray.poset._chain_children() == [-1, -1, 1, -1]
-        for policy in (wedge, crown, fork, stray, with_maximum_at(fence(6, 2, False), 3)):
+        # the same under a new maximum, declared first, mid-list or last:
+        # the links below it are not forced
+        topped = (with_maximum_at(crown, 0), with_maximum_at(fork, 2), with_maximum_at(stray, 4))
+        for policy in (wedge, crown, fork, stray, *topped):
             kernel_calls.clear()
             got = optimal_partition(policy)
             assert kernel_calls["n"] == 1
@@ -738,9 +774,10 @@ class TestMatchingBudget:
     @pytest.mark.parametrize("make, kernel, count", [
         (lambda: random_policy(80, 0.1, seed=1), 1, 1),  # no maximum: tested, then solved
         (lambda: fence(60, 2, False), 0, 1),
-        (lambda: with_maximum_at(random_policy(30, 0.2, seed=2), 15), 1, 1),  # not tested
+        (lambda: with_maximum_at(random_policy(30, 0.2, seed=2), 15), 1, 1),  # tested, then solved
+        (lambda: with_maximum_at(fence(60, 2, False), 30), 0, 1),
         (lambda: total_order(60, 3, True), 0, 0),
-    ], ids=["random", "fence", "maximum", "chain"])
+    ], ids=["random", "fence", "maximum", "maximum-fence", "chain"])
     def test_optimal_partition(self, kernel_calls, matchings, make, kernel, count):
         optimal_partition(make())
         assert (kernel_calls["n"], matchings["n"]) == (kernel, count)
