@@ -51,12 +51,11 @@ def _load_policy(path: str) -> Policy:
 
 
 def _print_bottoms(policy, pi) -> None:
-    p, users_in = policy.poset, _users_in(policy)
+    p, bottoms = policy.poset, pi.bottoms
+    ups = [p._up[p.index[b]] for b in bottoms]
     total_size = total_weight = 0
-    for chain in pi.chains:
-        b = chain[-1]
-        up = p._up[p.index[b]]
-        size, weight = up.bit_count(), users_in(up)
+    for b, up, weight in zip(bottoms, ups, _users_in(policy)(ups)):
+        size = up.bit_count()
         total_size += size
         total_weight += weight
         print(f"bottom {b}: size {size} weight {_decimal(weight)}")

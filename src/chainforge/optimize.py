@@ -274,8 +274,7 @@ def _chain_parents(work: Policy, w: int) -> tuple[dict[str, str], int, int, Pote
     p = work.poset
     n = len(p)
     r = p.index[p.maximum()]
-    users_in = _users_in(work)
-    weight = [users_in(up) for up in p._up]
+    weight = _users_in(work)(p._up)
     below = [down ^ 1 << i for i, down in enumerate(p._down)]
 
     # build_flow_network's node order without the sink; in(y) is y and
@@ -703,8 +702,8 @@ def _only_partition(
         return w, None
     links = {labels[y]: labels[x] if x >= 0 else top for y, x in enumerate(parent) if y != r}
     # each chain's links, up to r, add up to W(its bottom) - W(r)
-    bottoms = (p._up[b] for b, c in enumerate(child) if c < 0 and b != r)
-    return w, (links, sum(map(_users_in(work), bottoms)) - w * work.count(top))
+    bottoms = [p._up[b] for b, c in enumerate(child) if c < 0 and b != r]
+    return w, (links, sum(_users_in(work)(bottoms)) - w * work.count(top))
 
 
 def _only_matching(p: Poset, child: list[int], w: int, r: int) -> list[int] | None:

@@ -17,8 +17,16 @@ plus two deliberately independent recomputations of ``issued_secrets``
 (via the derivation tree, and via chain bottoms). These exist as oracles
 for cross-validation, not as optimizations, and must always agree.
 
-Every metric first runs the poset's partition check, which also returns
-each label's chain number. A top-first chain meets the down-set of x in a
+A partition is checked against a poset once. The first metric to run the
+poset's partition check on it, which also returns each label's chain
+number, binds the partition to that poset (compared by identity) with
+those chain numbers, and every later metric on the same poset reads them
+instead of checking again; the bundle sizes are computed once into the
+same binding when a metric first needs them. A partition whose chains are
+not all tuples could change after its check, so it is never bound and
+every call checks it. The three ``issued_secrets`` formulas share only
+the checked chain numbers, never a result. ``bundle_labels`` checks the
+partition on every call. A top-first chain meets the down-set of x in a
 suffix, so x's bundle takes from each chain its first label inside x's
 down-set mask. Bundle sizes for all labels at once come from one bottom-up
 pass over the covers instead, seeded with each label's own chain.
@@ -27,7 +35,8 @@ pass over the covers instead, seeded with each label's own chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from operator import add, mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidPartition, MalformedFlow, NoMaximum, NotComparable, UnknownLabel
 from .poset import Poset
@@ -69,6 +78,10 @@ class ChainPartition:
     """Disjoint chains covering a poset; each chain is stored top-first."""
 
     chains: tuple[tuple[str, ...], ...]
+    # the _Binding to the poset this partition was last checked against
+    # (see _bound): never set by the constructor, and not part of ==, hash
+    # or repr
+    _binding = None
 
     @classmethod
     def from_blocks(cls, poset: Poset, blocks: Iterable[Iterable[str]]) -> "ChainPartition":
@@ -99,6 +112,46 @@ class DerivationTree:
 
     root: str
     parent: dict[str, str]  # child -> parent
+
+
+class _Binding:
+    """A partition's check against one poset: the poset, each label's chain
+    number as ``Poset._chain_index`` returns it, and the bundle sizes once a
+    metric needs them."""
+
+    __slots__ = ("poset", "chain_index", "sizes")
+
+    def __init__(self, poset: Poset, chain_index: list[int]):
+        self.poset = poset
+        self.chain_index = chain_index
+        self.sizes: list[int] | None = None
+
+
+def _bind(pi: ChainPartition, binding: _Binding) -> None:
+    # a frozen dataclass: the binding is set past its __setattr__
+    object.__setattr__(pi, "_binding", binding)
+
+
+def _bound(p: Poset, pi: ChainPartition) -> _Binding:
+    """The partition's binding to p. A partition not bound to p is checked
+    first, raising ``InvalidPartition`` or ``UnknownLabel`` as
+    ``Poset._chain_index`` does, and is bound to p if its chains are all
+    tuples."""
+    binding = pi._binding
+    if binding is not None and binding.poset is p:
+        return binding
+    binding = _Binding(p, p._chain_index(pi.chains))
+    if type(pi.chains) is tuple and all(type(c) is tuple for c in pi.chains):
+        _bind(pi, binding)
+    return binding
+
+
+def _sizes(p: Poset, pi: ChainPartition) -> list[int]:
+    """The bundle sizes of the partition's binding to p, computed once."""
+    binding = _bound(p, pi)
+    if binding.sizes is None:
+        binding.sizes = _bundle_sizes(p, binding.chain_index)
+    return binding.sizes
 
 
 def _bundle_sizes(p: Poset, chain_index: list[int]) -> list[int]:
@@ -158,19 +211,19 @@ def bundle_labels(policy: Policy, x: str, pi: ChainPartition) -> tuple[str, ...]
 
 def max_bundle_size(policy: Policy, pi: ChainPartition) -> int:
     """Largest bundle size over all labels; 0 on an empty poset."""
-    return max(_bundle_sizes(policy.poset, policy.poset._chain_index(pi.chains)), default=0)
+    return max(_sizes(policy.poset, pi), default=0)
 
 
 def total_secrets(policy: Policy, pi: ChainPartition) -> int:
     """Sum of bundle sizes over all labels (user counts ignored)."""
-    return sum(_bundle_sizes(policy.poset, policy.poset._chain_index(pi.chains)))
+    return sum(_sizes(policy.poset, pi))
 
 
 def issued_secrets(policy: Policy, pi: ChainPartition) -> int:
     """Total secrets issued to users: bundle size weighted by user count."""
     p = policy.poset
-    sizes = _bundle_sizes(p, p._chain_index(pi.chains))
-    return sum(policy.count(x) * size for x, size in zip(p.elements, sizes))
+    sizes = _sizes(p, pi)
+    return sum(map(mul, map(policy.user_count.__getitem__, p.elements), sizes))
 
 
 def derivation_tree(policy: Policy, pi: ChainPartition) -> DerivationTree:
@@ -179,7 +232,7 @@ def derivation_tree(policy: Policy, pi: ChainPartition) -> DerivationTree:
     root = policy.poset.maximum()
     if root is None:
         raise NoMaximum("derivation tree requires a unique maximum element")
-    policy.poset._chain_index(pi.chains)
+    _bound(policy.poset, pi)
     parent: dict[str, str] = {}
     for chain in pi.chains:
         for hi, lo in zip(chain, chain[1:]):
@@ -233,15 +286,23 @@ def _chains_from_parents(p: Poset, r: str, w: int, parent: dict[str, str]) -> Ch
     return ChainPartition(tuple(chains))
 
 
-def _users_in(policy: Policy) -> Callable[[int], int]:
-    """The number of users at the labels of a mask, summed per user count:
-    one mask operation per distinct count."""
+def _users_in(policy: Policy) -> Callable[[Sequence[int]], list[int]]:
+    """The number of users at the labels of each mask of a batch, in batch
+    order: the labels are grouped by user count, and each distinct count
+    takes one pass of C-level maps over the batch."""
     by_count: dict[int, int] = {}
     for i, c in enumerate(map(policy.user_count.__getitem__, policy.poset.elements)):
         if c:
             by_count[c] = by_count.get(c, 0) | 1 << i
-    groups = by_count.items()
-    return lambda mask: sum(c * (mask & m).bit_count() for c, m in groups)
+
+    def weights(masks: Sequence[int]) -> list[int]:
+        total = [0] * len(masks)
+        for c, m in by_count.items():
+            counts = map(int.bit_count, map(m.__and__, masks))
+            total = list(map(add, total, map(c.__mul__, counts)))
+        return total
+
+    return weights
 
 
 def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:
@@ -249,20 +310,18 @@ def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:
     users pay once per chain, and each tree link is paid for by exactly the
     classes that must hold the child's secret (see ``secret_holders``)."""
     tree = derivation_tree(policy, pi)
-    p, users_in = policy.poset, _users_in(policy)
+    p = policy.poset
     up, index = p._up, p.index
-    total = len(pi.chains) * policy.count(tree.root)
-    for child, parent in tree.parent.items():
-        total += users_in(up[index[child]] & ~up[index[parent]])
-    return total
+    holders = [up[index[child]] & ~up[index[parent]] for child, parent in tree.parent.items()]
+    return len(pi.chains) * policy.count(tree.root) + sum(_users_in(policy)(holders))
 
 
 def issued_secrets_via_bottoms(policy: Policy, pi: ChainPartition) -> int:
     """Recompute ``issued_secrets`` from chain bottoms alone: each bottom is
     paid for by every user at or above it."""
-    p, users_in = policy.poset, _users_in(policy)
-    p._chain_index(pi.chains)
-    return sum(users_in(p._up[p.index[b]]) for b in pi.bottoms)
+    p = policy.poset
+    _bound(p, pi)
+    return sum(_users_in(policy)([p._up[p.index[b]] for b in pi.bottoms]))
 
 
 def augment_with_maximum(policy: Policy) -> tuple[Policy, str, bool]:
@@ -295,14 +354,21 @@ def attach_to_maximum(policy: Policy, pi: ChainPartition) -> tuple[Policy, Chain
 
     When a synthetic top is added it extends the chain whose top has the
     largest declaration index; bottoms are unchanged, so every metric is
-    preserved. No-op when the poset already has a maximum.
+    preserved. No-op when the poset already has a maximum. A partition
+    bound to the policy's poset gives the lifted one a binding to the new
+    poset without a second check: the top lies above every label and takes
+    the host chain's number.
     """
     policy2, top, added = augment_with_maximum(policy)
     if not added:
         return policy2, pi
     p = policy.poset
     host = max(range(len(pi.chains)), key=lambda i: p.index[pi.chains[i][0]])
-    chains = tuple(
+    lifted = ChainPartition(tuple(
         (top,) + c if i == host else c for i, c in enumerate(pi.chains)
-    )
-    return policy2, ChainPartition(chains)
+    ))
+    binding = pi._binding
+    if binding is not None and binding.poset is p:
+        # the top is the new poset's last label
+        _bind(lifted, _Binding(policy2.poset, binding.chain_index + [host]))
+    return policy2, lifted

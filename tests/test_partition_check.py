@@ -8,9 +8,13 @@ the chains again. The reference functions below are earlier, separate
 implementations, kept verbatim (each calls the reference copies of the
 others): the checks before they shared one method, ``derive``'s chain
 search, and the chain-mask bundles and chain-walk bundle sizes from before
-the check returned the chain numbers. Every generated input, valid or
-faulty, must give the same result, exception class and message under both.
-The budget tests count how often one operation runs the check.
+the check returned the chain numbers, and the metrics, the two recomputed
+``khat`` formulas and ``attach_to_maximum`` from before a partition was
+bound to the poset it was checked against. Every generated input, valid
+or faulty, must give the same result, exception class and message under
+both, and so must every order of metric calls on one partition, on one
+poset or two. The budget tests count how often one operation runs the
+check and computes the bundle sizes.
 """
 
 from __future__ import annotations
@@ -22,11 +26,23 @@ from collections import Counter
 import pytest
 
 from chainforge import ChainPartition, Policy, Poset
+from chainforge import policy as policy_mod
 from chainforge.ces import SchemeParams, derive, issue_bundle, seeded_entropy, setup
-from chainforge.errors import InvalidPartition, NotAuthorized, ParseError
+from chainforge.errors import InvalidPartition, NoMaximum, NotAuthorized, ParseError
 from chainforge.gen import random_policy
 from chainforge.optimize import optimal_partition, verify_result
-from chainforge.policy import bundle_labels, issued_secrets, max_bundle_size, total_secrets
+from chainforge.policy import (
+    DerivationTree,
+    attach_to_maximum,
+    augment_with_maximum,
+    bundle_labels,
+    derivation_tree,
+    issued_secrets,
+    issued_secrets_via_bottoms,
+    issued_secrets_via_tree,
+    max_bundle_size,
+    total_secrets,
+)
 
 from conftest import random_chain_partition
 
@@ -160,6 +176,63 @@ def ref_issued_secrets(policy, pi):
     ref_require_partition(policy, pi)
     p = policy.poset
     return sum(policy.count(x) * size for x, size in zip(p.elements, ref_bundle_sizes(p, pi)))
+
+
+# -- references: the recomputed formulas before partitions were bound -------
+
+
+def ref_users_in(policy):
+    """The number of users at the labels of one mask, summed per user count:
+    one mask operation per distinct count."""
+    by_count = {}
+    for i, c in enumerate(map(policy.user_count.__getitem__, policy.poset.elements)):
+        if c:
+            by_count[c] = by_count.get(c, 0) | 1 << i
+    groups = by_count.items()
+    return lambda mask: sum(c * (mask & m).bit_count() for c, m in groups)
+
+
+def ref_derivation_tree(policy, pi):
+    root = policy.poset.maximum()
+    if root is None:
+        raise NoMaximum("derivation tree requires a unique maximum element")
+    ref_require_partition(policy, pi)
+    parent = {}
+    for chain in pi.chains:
+        for hi, lo in zip(chain, chain[1:]):
+            parent[lo] = hi
+    for top in pi.tops:
+        if top != root:
+            parent[top] = root
+    return DerivationTree(root=root, parent=parent)
+
+
+def ref_issued_secrets_via_tree(policy, pi):
+    tree = ref_derivation_tree(policy, pi)
+    p, users_in = policy.poset, ref_users_in(policy)
+    up, index = p._up, p.index
+    total = len(pi.chains) * policy.count(tree.root)
+    for child, parent in tree.parent.items():
+        total += users_in(up[index[child]] & ~up[index[parent]])
+    return total
+
+
+def ref_issued_secrets_via_bottoms(policy, pi):
+    p, users_in = policy.poset, ref_users_in(policy)
+    ref_require_partition(policy, pi)
+    return sum(users_in(p._up[p.index[b]]) for b in pi.bottoms)
+
+
+def ref_attach_to_maximum(policy, pi):
+    policy2, top, added = augment_with_maximum(policy)
+    if not added:
+        return policy2, pi
+    p = policy.poset
+    host = max(range(len(pi.chains)), key=lambda i: p.index[pi.chains[i][0]])
+    chains = tuple(
+        (top,) + c if i == host else c for i, c in enumerate(pi.chains)
+    )
+    return policy2, ChainPartition(chains)
 
 
 # -- generated inputs -------------------------------------------------------
@@ -305,6 +378,53 @@ def compare(poset, chains):
         yield name, verdict(got)
 
 
+def lifted(attach, tree, size, total):
+    """A metric of the partition that ``attach`` lifts onto the policy with
+    a maximum: the tree formula, read twice, the largest bundle and the
+    bundle total."""
+    def metric(policy, pi):
+        aug_policy, aug_pi = attach(policy, pi)
+        return (tree(aug_policy, aug_pi), tree(aug_policy, aug_pi),
+                size(aug_policy, aug_pi), total(aug_policy, aug_pi))
+    return metric
+
+
+# (name, metric, reference): every metric that reads a partition's binding
+METRICS = (
+    ("max_bundle_size", max_bundle_size, ref_max_bundle_size),
+    ("total_secrets", total_secrets, ref_total_secrets),
+    ("issued_secrets", issued_secrets, ref_issued_secrets),
+    ("issued_secrets_via_bottoms", issued_secrets_via_bottoms, ref_issued_secrets_via_bottoms),
+    ("derivation_tree", derivation_tree, ref_derivation_tree),
+    ("attach_to_maximum", lambda policy, pi: attach_to_maximum(policy, pi)[1].chains,
+     lambda policy, pi: ref_attach_to_maximum(policy, pi)[1].chains),
+    ("lifted", lifted(attach_to_maximum, issued_secrets_via_tree, max_bundle_size, total_secrets),
+     lifted(ref_attach_to_maximum, ref_issued_secrets_via_tree, ref_max_bundle_size,
+            ref_total_secrets)),
+    ("bundle_labels", lambda policy, pi: bundle_labels(policy, policy.poset.elements[-1], pi),
+     lambda policy, pi: ref_bundle_labels(policy, policy.poset.elements[-1], pi)),
+)
+
+
+def metric_calls(policy, pi, rng):
+    """Call every metric twice on one partition, in a random order, assert
+    that each gives its reference's outcome, and yield (name, verdict)
+    pairs."""
+    calls = list(METRICS) * 2
+    rng.shuffle(calls)
+    for name, fn, ref in calls:
+        got = outcome(fn, policy, pi)
+        assert got == outcome(ref, policy, pi), (name, pi.chains)
+        yield name, verdict(got)
+
+
+def counted_policy(poset, rng):
+    """User counts from 0 to 3, or 400-digit ones on about a third of the
+    posets."""
+    big = 10 ** 399 if rng.random() < 0.3 else 1
+    return Policy(poset, {x: rng.randint(0, 3) * big for x in poset.elements})
+
+
 class TestAgainstReferences:
     def test_generated_partitions(self):
         verdicts = Counter()
@@ -371,17 +491,121 @@ class TestAgainstReferences:
         assert compared["ok"] >= 500 and compared["NotAuthorized"] >= 500, compared
 
 
+class TestBinding:
+    """A partition is bound to the poset it was checked against. Calls in
+    any order, on one poset or two, and after the chains change must give
+    what the references give without a binding."""
+
+    def test_metric_orders(self):
+        rng = random.Random(1319)
+        verdicts = Counter()
+        for poset, chains in generated_cases(700, seed=1319):
+            pi = ChainPartition(tuple(chains))
+            verdicts.update(metric_calls(counted_policy(poset, rng), pi, rng))
+        disjoint = "chains are not disjoint or do not cover the poset"
+        for name in ("max_bundle_size", "total_secrets", "issued_secrets",
+                     "issued_secrets_via_bottoms", "lifted", "bundle_labels"):
+            for result in ("ok", "UnknownLabel", "empty chain",
+                           "chain not in descending order", disjoint):
+                assert verdicts[name, result] >= 20, (name, result, verdicts)
+        assert verdicts["derivation_tree", "NoMaximum"] >= 100, verdicts
+        assert verdicts["derivation_tree", "ok"] >= 20, verdicts
+        assert verdicts["attach_to_maximum", "ok"] >= 500, verdicts
+
+    def test_checked_on_one_poset_then_queried_on_another(self):
+        # two posets on the same labels x0, x1, ...: a partition of the
+        # first may fail on the second, or pass with other bundle sizes
+        rng = random.Random(1321)
+        on_second = Counter()
+        for i in range(400):
+            n = rng.randint(2, 10)
+            first = random_policy(n, DENSITIES[i % len(DENSITIES)], seed=1321 + i).poset
+            second = random_policy(n, rng.choice(DENSITIES), seed=9001 + i).poset
+            pi = random_chain_partition(first, rng)
+            for poset in (first, second, first, second):
+                verdicts = dict(metric_calls(counted_policy(poset, rng), pi, rng))
+                if poset is second:
+                    on_second[verdicts["total_secrets"]] += 1
+        assert on_second["ok"] >= 100 and on_second["chain not in descending order"] >= 100, on_second
+
+    def test_same_labels_other_order(self):
+        line = Poset(["a", "b", "c"], [("b", "a"), ("c", "b")])
+        vee = Poset(["a", "b", "c"], [("c", "a"), ("c", "b")])
+        pi = ChainPartition((("a", "c"), ("b",)))  # a partition of both
+        assert total_secrets(Policy(line), pi) == 5
+        assert total_secrets(Policy(vee), pi) == 4
+        assert total_secrets(Policy(line), pi) == 5
+        spine = ChainPartition((("a", "b", "c"),))  # a chain of line only
+        assert max_bundle_size(Policy(line), spine) == 1
+        with pytest.raises(InvalidPartition, match="^chain not in descending order at 'a' > 'b'$"):
+            max_bundle_size(Policy(vee), spine)
+
+    def test_chains_that_can_change_are_checked_again(self):
+        # a partition over a list of chains, or a tuple of list chains,
+        # changed in place after the metrics passed on it
+        rng = random.Random(1327)
+        after = Counter()
+        for i in range(300):
+            policy = random_policy(rng.randint(1, 10), DENSITIES[i % len(DENSITIES)], seed=1327 + i)
+            chains = [list(c) for c in random_chain_partition(policy.poset, rng).chains]
+            pi = ChainPartition(chains if i % 2 else tuple(chains))
+            assert dict(metric_calls(policy, pi, rng))["issued_secrets"] == "ok"
+            for fault in rng.sample(FAULTS, rng.randint(1, 4)):
+                fault(rng, chains)
+            after[dict(metric_calls(policy, pi, rng))["issued_secrets"]] += 1
+        assert after["ok"] >= 20 and sum(after.values()) - after["ok"] >= 150, after
+
+    def test_lifted_partition_is_bound_as_a_check_would_bind_it(self):
+        rng = random.Random(1361)
+        for i in range(60):
+            policy = random_policy(rng.randint(2, 12), 0.2, seed=1361 + i)
+            if policy.poset.maximum() is not None:
+                continue
+            pi = random_chain_partition(policy.poset, rng)
+            fresh = ChainPartition(pi.chains)
+            issued_secrets(policy, pi)
+            # bound or not, a partition compares, hashes and prints as before
+            assert (pi, hash(pi), repr(pi)) == (fresh, hash(fresh), repr(fresh))
+            aug_policy, aug_pi = attach_to_maximum(policy, pi)
+            binding = aug_pi._binding
+            assert binding.poset is aug_policy.poset
+            assert binding.chain_index == aug_policy.poset._chain_index(aug_pi.chains)
+            assert attach_to_maximum(policy, fresh)[1]._binding is None
+
+    @pytest.mark.parametrize("policy", [
+        random_policy(30, 0.2, seed=1367),
+        random_policy(1, 0.0, seed=1367),
+        Policy(Poset(["t0", "t1", "b0"], [("b0", "t0"), ("b0", "t1")]), {"t1": 2, "b0": 1}),
+        Policy.unit(Poset(["hi", "lo"], [("lo", "hi")])),
+    ])
+    def test_verify_result_rejects_a_tampered_result(self, policy):
+        result = optimal_partition(policy)
+        assert verify_result(policy, result)
+        assert verify_result(policy, dataclasses.replace(
+            result, partition=ChainPartition(result.partition.chains)))
+        for name in ("khat", "kmax", "width", "flow_cost"):
+            for delta in (-1, 1):
+                tampered = dataclasses.replace(result, **{name: getattr(result, name) + delta})
+                assert not verify_result(policy, tampered), (name, delta)
+
+
 @pytest.fixture
 def checks(monkeypatch):
-    """Counts the calls of ``Poset._chain_index`` under ``checks["n"]``."""
+    """Counts the calls of ``Poset._chain_index`` under ``checks["n"]``,
+    and of ``policy._bundle_sizes`` under ``checks["sizes"]``."""
     calls = Counter()
-    check = Poset._chain_index
+    check, sizes = Poset._chain_index, policy_mod._bundle_sizes
 
     def counted(self, chains):
         calls["n"] += 1
         return check(self, chains)
 
+    def counted_sizes(p, chain_index):
+        calls["sizes"] += 1
+        return sizes(p, chain_index)
+
     monkeypatch.setattr(Poset, "_chain_index", counted)
+    monkeypatch.setattr(policy_mod, "_bundle_sizes", counted_sizes)
     return calls
 
 
@@ -399,7 +623,7 @@ class TestCheckBudget:
         result = optimal_partition(policy)
         assert verify_result(policy, result)
         total_secrets(policy, result.partition)
-        assert checks["n"] <= 6
+        assert (checks["n"], checks["sizes"]) == (1, 1)
 
     def test_issue_bundle_and_derive(self, checks):
         policy = random_policy(40, 0.15, seed=1311)

@@ -11,8 +11,10 @@ from chainforge.errors import (
     NotComparable,
     UnknownLabel,
 )
+from chainforge.gen import random_policy
 from chainforge.policy import (
     _chains_from_parents,
+    _users_in,
     attach_to_maximum,
     augment_with_maximum,
     bundle_labels,
@@ -352,6 +354,47 @@ class TestAgainstOrderQueries:
                                 x for x in p.elements
                                 if p.leq(child, x) and not p.leq(parent, x)
                             )
+
+
+class TestUsersIn:
+    """The batched user weights of masks equal a sum over each mask's
+    labels, one label at a time."""
+
+    @staticmethod
+    def per_label(policy, masks):
+        p = policy.poset
+        return [sum(policy.count(x) for x in p._labels(m)) for m in masks]
+
+    def test_random_policies(self):
+        rng = random.Random(173)
+        for i, policy in enumerate(random_policies(40, 30, seed=173)):
+            p = policy.poset
+            if i % 2:  # many distinct counts, so many passes over a batch
+                policy = Policy(p, {x: rng.randint(0, 1000) for x in p.elements})
+            randoms = [rng.getrandbits(len(p)) for _ in range(20)]
+            masks = p._up + p._down + randoms + [0, (1 << len(p)) - 1]
+            rng.shuffle(masks)
+            assert _users_in(policy)(masks) == self.per_label(policy, masks)
+            assert _users_in(policy)(tuple(randoms)) == self.per_label(policy, randoms)
+
+    def test_no_users(self):
+        p = random_policy(25, 0.2, seed=179).poset
+        assert _users_in(Policy(p))(p._up) == [0] * 25
+
+    def test_400_digit_counts(self):
+        rng = random.Random(181)
+        p = random_policy(30, 0.15, seed=181).poset
+        big = 10 ** 399
+        policy = Policy(p, {x: rng.choice((0, 1, big, big + rng.randint(1, 9))) for x in p.elements})
+        masks = p._up + p._down
+        weights = _users_in(policy)(masks)
+        assert weights == self.per_label(policy, masks)
+        assert max(weights) > big
+
+    def test_empty_batch(self):
+        policy = random_policy(10, 0.3, seed=191)
+        assert _users_in(policy)([]) == []
+        assert _users_in(Policy(policy.poset))([]) == []
 
 
 class TestAugmentation:
