@@ -51,11 +51,12 @@ def _load_policy(path: str) -> Policy:
 
 
 def _print_bottoms(policy, pi) -> None:
-    p, bottoms = policy.poset, pi.bottoms
-    ups = [p._up[p.index[b]] for b in bottoms]
+    p, users_in = policy.poset, _users_in(policy)
     total_size = total_weight = 0
-    for b, up, weight in zip(bottoms, ups, _users_in(policy)(ups)):
-        size = up.bit_count()
+    for chain in pi.chains:
+        b = chain[-1]
+        up = p._up[p.index[b]]
+        size, weight = up.bit_count(), users_in(up)
         total_size += size
         total_weight += weight
         print(f"bottom {b}: size {size} weight {_decimal(weight)}")

@@ -274,7 +274,8 @@ def _chain_parents(work: Policy, w: int) -> tuple[dict[str, str], int, int, Pote
     p = work.poset
     n = len(p)
     r = p.index[p.maximum()]
-    weight = _users_in(work)(p._up)
+    users_in = _users_in(work)
+    weight = [users_in(up) for up in p._up]
     below = [down ^ 1 << i for i, down in enumerate(p._down)]
 
     # build_flow_network's node order without the sink; in(y) is y and
@@ -702,8 +703,8 @@ def _only_partition(
         return w, None
     links = {labels[y]: labels[x] if x >= 0 else top for y, x in enumerate(parent) if y != r}
     # each chain's links, up to r, add up to W(its bottom) - W(r)
-    bottoms = [p._up[b] for b, c in enumerate(child) if c < 0 and b != r]
-    return w, (links, sum(_users_in(work)(bottoms)) - w * work.count(top))
+    bottoms = (p._up[b] for b, c in enumerate(child) if c < 0 and b != r)
+    return w, (links, sum(map(_users_in(work), bottoms)) - w * work.count(top))
 
 
 def _only_matching(p: Poset, child: list[int], w: int, r: int) -> list[int] | None:
@@ -770,12 +771,17 @@ def _result(
 
 
 def verify_result(policy: Policy, result: OptimizationResult) -> bool:
-    """Independent cross-validation of an optimization result.
+    """Cross-validation of an optimization result.
 
-    Checks partition validity and chain count, the three-way agreement of
-    the issued-secret formulas with the reported value, the flow-cost
-    identity khat = width * users(top) + flow_cost, and that kmax is the
-    partition's largest bundle and at most the width.
+    Checks the chain count, the three-way agreement of the issued-secret
+    formulas with the reported value, the flow-cost identity
+    khat = width * users(top) + flow_cost, and that kmax is the
+    partition's largest bundle and at most the width. Partition validity
+    and the bundle sizes come from the partition's binding to
+    ``policy.poset`` (see ``policy._bound``), made the first time the
+    partition is checked on that poset; for a result of
+    ``optimal_partition`` that check ran when the result was built, and
+    the ``kmax`` compared here is read from the same bundle sizes.
     """
     try:
         khat = issued_secrets(policy, result.partition)

@@ -35,8 +35,8 @@ pass over the covers instead, seeded with each label's own chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import mul
+from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidPartition, MalformedFlow, NoMaximum, NotComparable, UnknownLabel
 from .poset import Poset
@@ -286,23 +286,15 @@ def _chains_from_parents(p: Poset, r: str, w: int, parent: dict[str, str]) -> Ch
     return ChainPartition(tuple(chains))
 
 
-def _users_in(policy: Policy) -> Callable[[Sequence[int]], list[int]]:
-    """The number of users at the labels of each mask of a batch, in batch
-    order: the labels are grouped by user count, and each distinct count
-    takes one pass of C-level maps over the batch."""
+def _users_in(policy: Policy) -> Callable[[int], int]:
+    """The number of users at the labels of a mask, summed per user count:
+    one mask operation per distinct count."""
     by_count: dict[int, int] = {}
     for i, c in enumerate(map(policy.user_count.__getitem__, policy.poset.elements)):
         if c:
             by_count[c] = by_count.get(c, 0) | 1 << i
-
-    def weights(masks: Sequence[int]) -> list[int]:
-        total = [0] * len(masks)
-        for c, m in by_count.items():
-            counts = map(int.bit_count, map(m.__and__, masks))
-            total = list(map(add, total, map(c.__mul__, counts)))
-        return total
-
-    return weights
+    groups = by_count.items()
+    return lambda mask: sum(c * (mask & m).bit_count() for c, m in groups)
 
 
 def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:
@@ -310,18 +302,20 @@ def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:
     users pay once per chain, and each tree link is paid for by exactly the
     classes that must hold the child's secret (see ``secret_holders``)."""
     tree = derivation_tree(policy, pi)
-    p = policy.poset
+    p, users_in = policy.poset, _users_in(policy)
     up, index = p._up, p.index
-    holders = [up[index[child]] & ~up[index[parent]] for child, parent in tree.parent.items()]
-    return len(pi.chains) * policy.count(tree.root) + sum(_users_in(policy)(holders))
+    total = len(pi.chains) * policy.count(tree.root)
+    for child, parent in tree.parent.items():
+        total += users_in(up[index[child]] & ~up[index[parent]])
+    return total
 
 
 def issued_secrets_via_bottoms(policy: Policy, pi: ChainPartition) -> int:
     """Recompute ``issued_secrets`` from chain bottoms alone: each bottom is
     paid for by every user at or above it."""
-    p = policy.poset
+    p, users_in = policy.poset, _users_in(policy)
     _bound(p, pi)
-    return sum(_users_in(policy)([p._up[p.index[b]] for b in pi.bottoms]))
+    return sum(users_in(p._up[p.index[b]]) for b in pi.bottoms)
 
 
 def augment_with_maximum(policy: Policy) -> tuple[Policy, str, bool]:

@@ -3,22 +3,24 @@
 Run from the repository root, with the ``src`` directory of another
 checkout (for example an archive of the parent commit):
 
-    PYTHONPATH=src python tests/ab_partition.py OTHER/src [--pairs N]
+    PYTHONPATH=src python tests/ab_partition.py OTHER/src
 
 Both packages are loaded into one process, this tree's as ``chainforge``
 and the other's under another name. Each side runs the partition op of
 ``bench/run.py`` (``parse_policy``, ``optimal_partition``,
-``verify_result``, ``total_secrets``) on two rows of benchmark instances:
+``verify_result``, ``total_secrets``, each chain bottom's up-set size and
+user count, ``partition_text``) on two rows of benchmark instances:
 ``shapes``, the 200-label total order and the 250-top fence under eight
 user-count draws each, and ``random``, eight ``random_policy(200, 0.1)``
 instances. A pair times each side on a row as the least CPU time
 (``time.process_time``) of three passes over the row's instances,
 alternating which side runs first; one untimed pass per side comes
-before. Per row it prints each side's median milliseconds per op, the
-median ratio this / other over the pairs, the
-ratio's interquartile range, the pair count, and whether both sides
-returned the same ``khat``, ``w``, ``kmax``, ``K``, flow cost and
-partition text. Given this tree's own ``src``, it gives the noise floor.
+before, and ``PAIRS`` pairs are timed. Per row it prints each side's
+median milliseconds per op, the median ratio this / other over the
+pairs, the ratio's interquartile range, the pair count, and whether both
+sides returned the same ``khat``, ``w``, ``kmax``, ``K``, flow cost,
+bottoms and partition text. Given this tree's own ``src``, it gives the
+noise floor.
 
 It gates nothing: it exits 1 only if a side's ``verify_result`` rejects
 its result. It writes the same numbers to ``BENCH_ab.json``.
@@ -44,6 +46,7 @@ ROWS = {
     "shapes": [f"{shape}/{s}" for shape in ("total-order", "fence") for s in range(8)],
     "random": [f"random/{s}" for s in range(8)],
 }
+PAIRS = 10
 
 
 def load(src: Path, name: str):
@@ -70,8 +73,13 @@ def partition_op(package, text: str):
         if not optimize.verify_result(policy, result):
             raise SystemExit(f"{package.__file__}: verify_result rejected its result")
         total = policy_mod.total_secrets(policy, result.partition)
+        p = policy.poset
+        bottoms = [
+            (c[-1], p.up_size(c[-1]), sum(policy.count(x) for x in p.up_set(c[-1])))
+            for c in result.partition.chains
+        ]
         return (result.khat, result.width, result.kmax, total, result.flow_cost,
-                formats.partition_text(result.partition))
+                bottoms, formats.partition_text(result.partition))
 
     return op
 
@@ -92,11 +100,11 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(sides, texts: list[str], pairs: int) -> dict:
+def compare(sides, texts: list[str]) -> dict:
     ops = [[partition_op(package, text) for text in texts] for package in sides]
     answers = [[op() for op in side] for side in ops]  # the untimed pass
     times: list[list[float]] = [[], []]
-    for k in range(pairs):
+    for k in range(PAIRS):
         for s in (0, 1) if k % 2 == 0 else (1, 0):
             times[s].append(cpu_ms_per_op(ops[s]))
     ratios = [a / b for a, b in zip(*times)]
@@ -105,7 +113,7 @@ def compare(sides, texts: list[str], pairs: int) -> dict:
         "other_ms": statistics.median(times[1]),
         "ratio_median": statistics.median(ratios),
         "ratio_iqr": quartiles(ratios),
-        "pairs": pairs,
+        "pairs": PAIRS,
         "same_results": answers[0] == answers[1],
         "this_ms_all": times[0],
         "other_ms_all": times[1],
@@ -115,16 +123,13 @@ def compare(sides, texts: list[str], pairs: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_src", type=Path, help="the src directory of the second tree")
-    parser.add_argument("--pairs", type=int, default=10, help="timed pairs per row (default 10)")
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
     other = load(args.other_src.resolve(), "chainforge_other")
     formats = importlib.import_module("chainforge.formats")
     rows = {}
     for row, keys in ROWS.items():
         texts = [formats.policy_text(workloads.instance(key)) for key in keys]
-        rows[row] = compare((chainforge, other), texts, args.pairs)
+        rows[row] = compare((chainforge, other), texts)
     print(f"this tree against {args.other_src}: partition-op CPU ms per op,"
           " median over pairs; ratio this / other")
     for row, r in rows.items():

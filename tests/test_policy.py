@@ -357,29 +357,32 @@ class TestAgainstOrderQueries:
 
 
 class TestUsersIn:
-    """The batched user weights of masks equal a sum over each mask's
-    labels, one label at a time."""
+    """The user weight of a mask, summed per user count, equals a sum over
+    the mask's labels, one label at a time."""
 
     @staticmethod
     def per_label(policy, masks):
         p = policy.poset
         return [sum(policy.count(x) for x in p._labels(m)) for m in masks]
 
+    @staticmethod
+    def weights(policy, masks):
+        return list(map(_users_in(policy), masks))
+
     def test_random_policies(self):
         rng = random.Random(173)
         for i, policy in enumerate(random_policies(40, 30, seed=173)):
             p = policy.poset
-            if i % 2:  # many distinct counts, so many passes over a batch
+            if i % 2:  # many distinct counts, so many mask operations
                 policy = Policy(p, {x: rng.randint(0, 1000) for x in p.elements})
             randoms = [rng.getrandbits(len(p)) for _ in range(20)]
             masks = p._up + p._down + randoms + [0, (1 << len(p)) - 1]
             rng.shuffle(masks)
-            assert _users_in(policy)(masks) == self.per_label(policy, masks)
-            assert _users_in(policy)(tuple(randoms)) == self.per_label(policy, randoms)
+            assert self.weights(policy, masks) == self.per_label(policy, masks)
 
     def test_no_users(self):
         p = random_policy(25, 0.2, seed=179).poset
-        assert _users_in(Policy(p))(p._up) == [0] * 25
+        assert self.weights(Policy(p), p._up) == [0] * 25
 
     def test_400_digit_counts(self):
         rng = random.Random(181)
@@ -387,14 +390,14 @@ class TestUsersIn:
         big = 10 ** 399
         policy = Policy(p, {x: rng.choice((0, 1, big, big + rng.randint(1, 9))) for x in p.elements})
         masks = p._up + p._down
-        weights = _users_in(policy)(masks)
+        weights = self.weights(policy, masks)
         assert weights == self.per_label(policy, masks)
         assert max(weights) > big
 
-    def test_empty_batch(self):
+    def test_empty_mask(self):
         policy = random_policy(10, 0.3, seed=191)
-        assert _users_in(policy)([]) == []
-        assert _users_in(Policy(policy.poset))([]) == []
+        assert _users_in(policy)(0) == 0
+        assert _users_in(Policy(policy.poset))(0) == 0
 
 
 class TestAugmentation:
