@@ -124,7 +124,15 @@ def parse_policy(text: str) -> Policy:
             raise ParseError(f"duplicate user count for {label!r}", lines[k])
         counts[label] = value
 
-    return Policy(Poset(elements, covers), counts)
+    poset = Poset(elements, covers)
+    if not counts.keys() <= poset.index.keys():
+        return Policy(poset, counts)  # raises UnknownLabel for the first unknown label
+    # every count is already checked, so the policy is built without a second check
+    policy = Policy.__new__(Policy)
+    policy.poset = poset
+    policy.user_count = dict.fromkeys(poset.elements, 0)
+    policy.user_count.update(counts)
+    return policy
 
 
 def policy_text(policy: Policy) -> str:

@@ -45,6 +45,7 @@ from .policy import (
     Policy,
     _chains_from_parents,
     _users_in,
+    _users_in_all,
     augment_with_maximum,
     issued_secrets,
     issued_secrets_via_bottoms,
@@ -703,8 +704,8 @@ def _only_partition(
         return w, None
     links = {labels[y]: labels[x] if x >= 0 else top for y, x in enumerate(parent) if y != r}
     # each chain's links, up to r, add up to W(its bottom) - W(r)
-    bottoms = (p._up[b] for b, c in enumerate(child) if c < 0 and b != r)
-    return w, (links, sum(map(_users_in(work), bottoms)) - w * work.count(top))
+    bottoms = [p._up[b] for b, c in enumerate(child) if c < 0 and b != r]
+    return w, (links, _users_in_all(work, bottoms) - w * work.count(top))
 
 
 def _only_matching(p: Poset, child: list[int], w: int, r: int) -> list[int] | None:

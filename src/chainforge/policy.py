@@ -286,15 +286,29 @@ def _chains_from_parents(p: Poset, r: str, w: int, parent: dict[str, str]) -> Ch
     return ChainPartition(tuple(chains))
 
 
-def _users_in(policy: Policy) -> Callable[[int], int]:
-    """The number of users at the labels of a mask, summed per user count:
-    one mask operation per distinct count."""
+def _count_groups(policy: Policy) -> list[tuple[int, int]]:
+    """Each nonzero user count with the mask of the labels that have it."""
     by_count: dict[int, int] = {}
     for i, c in enumerate(map(policy.user_count.__getitem__, policy.poset.elements)):
         if c:
             by_count[c] = by_count.get(c, 0) | 1 << i
-    groups = by_count.items()
+    return list(by_count.items())
+
+
+def _users_in(policy: Policy) -> Callable[[int], int]:
+    """The number of users at the labels of a mask, summed per user count:
+    one mask operation per distinct count."""
+    groups = _count_groups(policy)
     return lambda mask: sum(c * (mask & m).bit_count() for c, m in groups)
+
+
+def _users_in_all(policy: Policy, masks: list[int]) -> int:
+    """The number of users at the labels of each mask, summed over the
+    masks: one pass over all of them per distinct user count."""
+    return sum(
+        c * sum(map(int.bit_count, map(m.__and__, masks)))
+        for c, m in _count_groups(policy)
+    )
 
 
 def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:
@@ -302,20 +316,19 @@ def issued_secrets_via_tree(policy: Policy, pi: ChainPartition) -> int:
     users pay once per chain, and each tree link is paid for by exactly the
     classes that must hold the child's secret (see ``secret_holders``)."""
     tree = derivation_tree(policy, pi)
-    p, users_in = policy.poset, _users_in(policy)
+    p = policy.poset
     up, index = p._up, p.index
-    total = len(pi.chains) * policy.count(tree.root)
-    for child, parent in tree.parent.items():
-        total += users_in(up[index[child]] & ~up[index[parent]])
-    return total
+    holders = [up[index[child]] & ~up[index[parent]] for child, parent in tree.parent.items()]
+    return len(pi.chains) * policy.count(tree.root) + _users_in_all(policy, holders)
 
 
 def issued_secrets_via_bottoms(policy: Policy, pi: ChainPartition) -> int:
     """Recompute ``issued_secrets`` from chain bottoms alone: each bottom is
     paid for by every user at or above it."""
-    p, users_in = policy.poset, _users_in(policy)
+    p = policy.poset
     _bound(p, pi)
-    return sum(users_in(p._up[p.index[b]]) for b in pi.bottoms)
+    up, index = p._up, p.index
+    return _users_in_all(policy, [up[index[b]] for b in pi.bottoms])
 
 
 def augment_with_maximum(policy: Policy) -> tuple[Policy, str, bool]:

@@ -57,8 +57,13 @@ class Poset:
 
     def __init__(self, elements: Sequence[str], covers: Iterable[tuple[str, str]] = ()):
         elements = tuple(elements)
-        for lab in elements:
-            _check_label(lab)
+        try:
+            labels_ok = all(map(_LABEL.fullmatch, elements))
+        except TypeError:  # a label that is not a string
+            labels_ok = False
+        if not labels_ok:
+            for lab in elements:
+                _check_label(lab)
         index = {lab: i for i, lab in enumerate(elements)}
         if len(index) != len(elements):
             seen: set[str] = set()
@@ -92,26 +97,44 @@ class Poset:
         # the covers by index: each element's cover parents and children, in
         # declaration order of the covers, and a bottom-up order
         self._parents, self._children = parents, children
-        self._down, self._up, self._order = self._closure(parents, children)
-        self._reject_redundant_covers()
+        self._down, self._up, self._order, redundant = self._closure(parents, children, kids)
+        if redundant:
+            self._reject_redundant_covers()
 
     def _closure(
-        self, parents: list[list[int]], children: list[list[int]]
-    ) -> tuple[list[int], list[int], list[int]]:
+        self, parents: list[list[int]], children: list[list[int]], kids: list[int]
+    ) -> tuple[list[int], list[int], list[int], bool]:
         """The down-set and up-set masks of every element, down-sets in a
         topological pass from the minimal elements and up-sets in the same
-        order reversed, and that order."""
+        order reversed, that order, and whether a cover is implied
+        transitively.
+
+        ``kids`` holds the mask of each element's cover children. A cover
+        x < y is implied when some label lies strictly between them, that
+        is, below another cover child of y: so the down pass tests, at every
+        element with two or more cover children, the union of their strict
+        down-sets against their own bits.
+        """
         n = len(self.elements)
         indeg = [len(children[i]) for i in range(n)]
         queue = deque(i for i in range(n) if indeg[i] == 0)
         down = [0] * n
         order = []
+        redundant = False
         while queue:
             i = queue.popleft()
             order.append(i)
             mask = 1 << i
-            for c in children[i]:
-                mask |= down[c]
+            cs = children[i]
+            if len(cs) > 1:
+                below = 0  # the cover children's strict down-sets
+                for c in cs:
+                    below |= down[c] ^ 1 << c
+                if below & kids[i]:
+                    redundant = True
+                mask |= below | kids[i]
+            elif cs:
+                mask |= down[cs[0]]
             down[i] = mask
             for p in parents[i]:
                 indeg[p] -= 1
@@ -132,11 +155,12 @@ class Poset:
             for p in parents[i]:
                 mask |= up[p]
             up[i] = mask
-        return down, up, order
+        return down, up, order, redundant
 
     def _reject_redundant_covers(self) -> None:
         # a cover's up-set and down-set meet in its two ends, and in every
-        # label between them when it is implied transitively
+        # label between them when it is implied transitively; the covers are
+        # tested in declaration order, so the first implied one is reported
         up, down, index = self._up, self._down, self.index
         for child, parent in self.covers:
             if (up[index[child]] & down[index[parent]]).bit_count() > 2:

@@ -1,4 +1,5 @@
-"""Time the benchmark's partition op of this tree against a second tree's.
+"""Time the benchmark's partition and analyze ops of this tree against a
+second tree's.
 
 Run from the repository root, with the ``src`` directory of another
 checkout (for example an archive of the parent commit):
@@ -12,15 +13,17 @@ and the other's under another name. Each side runs the partition op of
 user count, ``partition_text``) on two rows of benchmark instances:
 ``shapes``, the 200-label total order and the 250-top fence under eight
 user-count draws each, and ``random``, eight ``random_policy(200, 0.1)``
-instances. A pair times each side on a row as the least CPU time
-(``time.process_time``) of three passes over the row's instances,
-alternating which side runs first; one untimed pass per side comes
-before, and ``PAIRS`` pairs are timed. Per row it prints each side's
-median milliseconds per op, the median ratio this / other over the
-pairs, the ratio's interquartile range, the pair count, and whether both
-sides returned the same ``khat``, ``w``, ``kmax``, ``K``, flow cost,
-bottoms and partition text. Given this tree's own ``src``, it gives the
-noise floor.
+instances. A third row, ``analyze``, runs the benchmark's analyze op
+(``parse_policy``, the width, the minimal and maximal labels and the
+maximum) on its 1 500-top fence. A pair times each side on a row as the
+least CPU time (``time.process_time``) of three passes over the row's
+instances, alternating which side runs first; one untimed pass per side
+comes before, and ``PAIRS`` pairs are timed. Per row it prints each
+side's median milliseconds per op, the median ratio this / other over
+the pairs, the ratio's interquartile range, the pair count, and whether
+both sides returned the same answers: ``khat``, ``w``, ``kmax``, ``K``,
+flow cost, bottoms and partition text, or the analyze report. Given this
+tree's own ``src``, it gives the noise floor.
 
 It gates nothing: it exits 1 only if a side's ``verify_result`` rejects
 its result. It writes the same numbers to ``BENCH_ab.json``.
@@ -84,6 +87,17 @@ def partition_op(package, text: str):
     return op
 
 
+def analyze_op(package, text: str):
+    """The analyze op on one side, and the report it returns."""
+    formats = importlib.import_module(f"{package.__name__}.formats")
+
+    def op():
+        p = formats.parse_policy(text).poset
+        return len(p), len(p.covers), p.width(), p.minimal_elements(), p.maximal_elements(), p.maximum()
+
+    return op
+
+
 def cpu_ms_per_op(ops) -> float:
     """The least CPU time per op of three passes over the ops."""
     best = float("inf")
@@ -100,8 +114,8 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(sides, texts: list[str]) -> dict:
-    ops = [[partition_op(package, text) for text in texts] for package in sides]
+def compare(sides, make_op, texts: list[str]) -> dict:
+    ops = [[make_op(package, text) for text in texts] for package in sides]
     answers = [[op() for op in side] for side in ops]  # the untimed pass
     times: list[list[float]] = [[], []]
     for k in range(PAIRS):
@@ -129,12 +143,14 @@ def main() -> int:
     rows = {}
     for row, keys in ROWS.items():
         texts = [formats.policy_text(workloads.instance(key)) for key in keys]
-        rows[row] = compare((chainforge, other), texts)
-    print(f"this tree against {args.other_src}: partition-op CPU ms per op,"
+        rows[row] = compare((chainforge, other), partition_op, texts)
+    deep_fence = formats.policy_text(workloads.fence(workloads.DEEP_FENCE_TOPS, 0))
+    rows["analyze"] = compare((chainforge, other), analyze_op, [deep_fence])
+    print(f"this tree against {args.other_src}: CPU ms per op,"
           " median over pairs; ratio this / other")
     for row, r in rows.items():
         q1, q3 = r["ratio_iqr"]
-        print(f"{row:<6} this {r['this_ms']:7.3f}  other {r['other_ms']:7.3f}"
+        print(f"{row:<7} this {r['this_ms']:7.3f}  other {r['other_ms']:7.3f}"
               f"  ratio x{r['ratio_median']:.3f} (IQR {q1:.3f}-{q3:.3f}, {r['pairs']} pairs)"
               f"  same results: {'yes' if r['same_results'] else 'NO'}")
     Path("BENCH_ab.json").write_text(json.dumps({"unit": "ms", "rows": rows}, indent=1) + "\n")

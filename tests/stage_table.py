@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src:tests python tests/stage_table.py
+    PYTHONPATH=src:tests python tests/stage_table.py [--stretch]
 
 For each of the seven rows of ROADMAP.md's baseline table (the first
 seven rows of ``tests/kernel_work.py``) it takes the CPU time
@@ -22,10 +22,16 @@ part of the pipeline. It prints the table in milliseconds with the
 benchmark's speed kernel (``bench/speed.py``) sampled before and after
 it, and writes the same numbers in seconds to ``BENCH_stages.json``,
 with the rows whose kernel is off the pipeline. It gates nothing.
+
+``--stretch`` adds two larger rows after them, ``random_policy(1600,
+0.025, 1)`` and ``random_policy(3200, 0.0125, 1)``, whose density keeps
+about 40 comparable successors per label as at n = 800. They record how
+the stages grow past n = 800 and take about a minute more.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
@@ -33,6 +39,7 @@ from pathlib import Path
 
 from chainforge import ces, optimize
 from chainforge.formats import parse_policy, policy_text
+from chainforge.gen import random_policy
 from chainforge.policy import augment_with_maximum, total_secrets
 from chainforge.poset import Poset
 
@@ -42,6 +49,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from speed import REFERENCE_S, SpeedProbe  # noqa: E402
 
 BASELINE = ROWS[:7]
+STRETCH = [
+    ("random_policy(1600, 0.025, 1)", lambda: random_policy(1600, 0.025, seed=1)),
+    ("random_policy(3200, 0.0125, 1)", lambda: random_policy(3200, 0.0125, seed=1)),
+]
 AUDIT_MAX_LABELS = 200
 STAGES = (
     "parse", "poset", "width", "optimal_partition", "kernel", "decode",
@@ -102,10 +113,14 @@ def speed_samples(probe, count=3):
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--stretch", action="store_true",
+                        help="also time the rows at n = 1 600 and 3 200")
+    args = parser.parse_args()
     probe = SpeedProbe()
     speed = speed_samples(probe)
     rows, off_path = {}, []
-    for name, make, *_ in BASELINE:
+    for name, make, *_ in BASELINE + (STRETCH if args.stretch else []):
         rows[name], only = stage_times(make())
         if only:
             off_path.append(name)

@@ -392,3 +392,70 @@ class TestPosetDifferential:
             rng.shuffle(covers)
             rng.shuffle(labels)
             assert poset_outcome(Poset, labels, covers) == poset_outcome(ref_poset, labels, covers)
+
+
+class TestRedundantCovers:
+    """``Poset.__init__`` finds implied covers in its closure's down pass,
+    bottom-up, and then reports the first one in declaration order of the
+    covers, as the reference does."""
+
+    @staticmethod
+    def chain(*labels):
+        """The covers of a chain, its labels listed bottom-up."""
+        return [(lo, hi) for lo, hi in zip(labels, labels[1:])]
+
+    def check(self, elements, covers, error, message):
+        outcome = poset_outcome(Poset, elements, covers)
+        assert outcome == poset_outcome(ref_poset, elements, covers)
+        assert outcome[:2] == (error, message)
+
+    def test_first_declared_is_reported_when_found_later(self):
+        # the closure reaches c, and a < c, before d and b < d; b < d is
+        # declared first
+        covers = [("b", "d"), ("a", "c")] + self.chain("a", "b", "c", "d")
+        self.check("abcd", covers, RedundantCover, "cover 'b' < 'd' is implied transitively")
+        covers = [("a", "c"), ("b", "d")] + self.chain("a", "b", "c", "d")
+        self.check("abcd", covers, RedundantCover, "cover 'a' < 'c' is implied transitively")
+
+    def test_first_declared_in_another_component(self):
+        # the pass runs p, a, q, b, r, c: it meets p < r before a < c
+        covers = [("a", "c")] + self.chain("a", "b", "c") + self.chain("p", "q", "r") + [("p", "r")]
+        self.check("pqrabc", covers, RedundantCover, "cover 'a' < 'c' is implied transitively")
+
+    @pytest.mark.parametrize("steps", (3, 4, 7))
+    def test_implied_only_through_a_long_path(self, steps):
+        labels = [f"x{i}" for i in range(steps + 1)]
+        # one cover x0 < x(steps), with no shorter path between its ends
+        covers = self.chain(*labels) + [(labels[0], labels[-1])]
+        self.check(labels, covers, RedundantCover,
+                   f"cover 'x0' < {labels[-1]!r} is implied transitively")
+        # the long path under another cover child of the top
+        covers = [(labels[0], labels[-1])] + self.chain(*labels[:-1]) + [("y", labels[-1]), (labels[-2], "y")]
+        self.check(labels + ["y"], covers, RedundantCover,
+                   f"cover 'x0' < {labels[-1]!r} is implied transitively")
+
+    def test_cycle_wins_over_an_implied_cover(self):
+        # the down pass meets the implied cover a < c before it stalls on x, y
+        covers = self.chain("a", "b", "c") + [("a", "c"), ("x", "y"), ("y", "x")]
+        outcome = poset_outcome(Poset, "abcxy", covers)
+        assert outcome == poset_outcome(ref_poset, "abcxy", covers)
+        assert outcome[0] is CycleDetected
+        # an implied cover inside the cycle's own labels
+        covers = self.chain("a", "b", "c", "d") + [("a", "c"), ("d", "a")]
+        outcome = poset_outcome(Poset, "abcd", covers)
+        assert outcome == poset_outcome(ref_poset, "abcd", covers)
+        assert outcome[0] is CycleDetected
+
+    def test_implied_cover_next_to_a_cycle_below_it(self):
+        # a cycle among labels below the implied cover's top: the pass never
+        # reaches that top
+        covers = [("x", "y"), ("y", "x"), ("y", "a")] + self.chain("a", "b", "c") + [("a", "c")]
+        outcome = poset_outcome(Poset, "abcxy", covers)
+        assert outcome == poset_outcome(ref_poset, "abcxy", covers)
+        assert outcome[0] is CycleDetected
+
+    def test_no_implied_cover_with_shared_descendants(self):
+        # tops with two cover children that share a down-set, none implied
+        covers = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("b", "e"), ("c", "e")]
+        assert poset_outcome(Poset, "abcde", covers) == poset_outcome(ref_poset, "abcde", covers)
+        assert Poset("abcde", covers).down_set("d") == ("a", "b", "c", "d")

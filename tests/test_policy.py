@@ -15,6 +15,7 @@ from chainforge.gen import random_policy
 from chainforge.policy import (
     _chains_from_parents,
     _users_in,
+    _users_in_all,
     attach_to_maximum,
     augment_with_maximum,
     bundle_labels,
@@ -358,15 +359,18 @@ class TestAgainstOrderQueries:
 
 class TestUsersIn:
     """The user weight of a mask, summed per user count, equals a sum over
-    the mask's labels, one label at a time."""
+    the mask's labels, one label at a time; and so does the weight of a
+    whole list of masks, summed a batch at a time."""
 
     @staticmethod
     def per_label(policy, masks):
         p = policy.poset
         return [sum(policy.count(x) for x in p._labels(m)) for m in masks]
 
-    @staticmethod
-    def weights(policy, masks):
+    def weights(self, policy, masks):
+        """Each mask's weight, after checking that the batched sum of all of
+        them equals the sum of the per-label weights."""
+        assert _users_in_all(policy, masks) == sum(self.per_label(policy, masks))
         return list(map(_users_in(policy), masks))
 
     def test_random_policies(self):
@@ -393,11 +397,19 @@ class TestUsersIn:
         weights = self.weights(policy, masks)
         assert weights == self.per_label(policy, masks)
         assert max(weights) > big
+        assert _users_in_all(policy, masks) == sum(weights) > big
 
     def test_empty_mask(self):
         policy = random_policy(10, 0.3, seed=191)
         assert _users_in(policy)(0) == 0
         assert _users_in(Policy(policy.poset))(0) == 0
+        assert self.weights(policy, [0]) == [0]
+        assert self.weights(Policy(policy.poset), [0, 0]) == [0, 0]
+
+    def test_empty_mask_list(self):
+        policy = random_policy(10, 0.3, seed=193)
+        assert self.weights(policy, []) == []
+        assert self.weights(Policy(policy.poset), []) == []
 
 
 class TestAugmentation:
