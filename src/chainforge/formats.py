@@ -128,11 +128,9 @@ def parse_policy(text: str) -> Policy:
     if not counts.keys() <= poset.index.keys():
         return Policy(poset, counts)  # raises UnknownLabel for the first unknown label
     # every count is already checked, so the policy is built without a second check
-    policy = Policy.__new__(Policy)
-    policy.poset = poset
-    policy.user_count = dict.fromkeys(poset.elements, 0)
-    policy.user_count.update(counts)
-    return policy
+    user_count = dict.fromkeys(poset.elements, 0)
+    user_count.update(counts)
+    return Policy._checked(poset, user_count)
 
 
 def policy_text(policy: Policy) -> str:

@@ -17,15 +17,16 @@ plus two deliberately independent recomputations of ``issued_secrets``
 (via the derivation tree, and via chain bottoms). These exist as oracles
 for cross-validation, not as optimizations, and must always agree.
 
-A partition is checked against a poset once. The first metric to run the
-poset's partition check on it, which also returns each label's chain
-number, binds the partition to that poset (compared by identity) with
-those chain numbers, and every later metric on the same poset reads them
-instead of checking again; the bundle sizes are computed once into the
-same binding when a metric first needs them. A partition whose chains are
-not all tuples could change after its check, so it is never bound and
-every call checks it. The three ``issued_secrets`` formulas share only
-the checked chain numbers, never a result. ``bundle_labels`` checks the
+A partition stores its chains as tuples of tuples, whatever it is built
+from, so it cannot change after a check. It is checked against a poset
+once. The first check of it on a poset (a metric's,
+``attach_to_maximum``'s or ``ChainPartition.from_blocks``'s), which also
+returns each label's chain number, binds the partition to that poset
+(compared by identity) with those chain numbers, and every later metric
+on the same poset reads them instead of checking again; the bundle sizes
+are computed once into the same binding when a metric first needs them.
+The three ``issued_secrets`` formulas share only the checked chain
+numbers, never a result. ``bundle_labels`` checks the
 partition on every call. A top-first chain meets the down-set of x in a
 suffix, so x's bundle takes from each chain its first label inside x's
 down-set mask. Bundle sizes for all labels at once come from one bottom-up
@@ -60,6 +61,16 @@ class Policy:
         self.user_count = counts
 
     @classmethod
+    def _checked(cls, poset: Poset, user_count: dict[str, int]) -> "Policy":
+        """A policy that keeps ``user_count`` as it is: a valid count for
+        every label of the poset, in declaration order, checked by the
+        caller."""
+        policy = cls.__new__(cls)
+        policy.poset = poset
+        policy.user_count = user_count
+        return policy
+
+    @classmethod
     def unit(cls, poset: Poset) -> "Policy":
         return cls(poset, {x: 1 for x in poset.elements})
 
@@ -75,7 +86,12 @@ class Policy:
 
 @dataclass(frozen=True)
 class ChainPartition:
-    """Disjoint chains covering a poset; each chain is stored top-first."""
+    """Disjoint chains covering a poset; each chain is stored top-first.
+
+    The chains are stored as a tuple of tuples whatever sequences they are
+    given as, so a partition built from lists equals, hashes and prints as
+    its tuple twin and keeps its chains when the lists change.
+    """
 
     chains: tuple[tuple[str, ...], ...]
     # the _Binding to the poset this partition was last checked against
@@ -83,18 +99,24 @@ class ChainPartition:
     # or repr
     _binding = None
 
+    def __post_init__(self) -> None:
+        # a frozen dataclass: the chains are set past its __setattr__
+        object.__setattr__(self, "chains", tuple(map(tuple, self.chains)))
+
     @classmethod
     def from_blocks(cls, poset: Poset, blocks: Iterable[Iterable[str]]) -> "ChainPartition":
-        """Validate blocks as a chain partition and order each one top-first."""
+        """Validate blocks as a chain partition and order each one top-first.
+        The partition is returned bound to the poset, as its first check
+        by a metric would bind it."""
         blocks = [tuple(b) for b in blocks]
         if any(not b for b in blocks):
             raise InvalidPartition("empty chain")
-        chains = tuple(map(poset.descending, blocks))
+        pi = cls(tuple(map(poset.descending, blocks)))
         try:
-            poset._chain_index(chains)
+            _bound(poset, pi)
         except InvalidPartition:
             raise InvalidPartition("blocks are not disjoint chains covering the poset") from None
-        return cls(chains)
+        return pi
 
     @property
     def tops(self) -> tuple[str, ...]:
@@ -135,13 +157,10 @@ def _bind(pi: ChainPartition, binding: _Binding) -> None:
 def _bound(p: Poset, pi: ChainPartition) -> _Binding:
     """The partition's binding to p. A partition not bound to p is checked
     first, raising ``InvalidPartition`` or ``UnknownLabel`` as
-    ``Poset._chain_index`` does, and is bound to p if its chains are all
-    tuples."""
+    ``Poset._chain_index`` does, and is bound to p."""
     binding = pi._binding
-    if binding is not None and binding.poset is p:
-        return binding
-    binding = _Binding(p, p._chain_index(pi.chains))
-    if type(pi.chains) is tuple and all(type(c) is tuple for c in pi.chains):
+    if binding is None or binding.poset is not p:
+        binding = _Binding(p, p._chain_index(pi.chains))
         _bind(pi, binding)
     return binding
 
@@ -350,10 +369,7 @@ def augment_with_maximum(policy: Policy) -> tuple[Policy, str, bool]:
         k += 1
         top = f"r{k}"
     # the source policy's counts are already checked, in declaration order
-    augmented = Policy.__new__(Policy)
-    augmented.poset = p.with_top(top)
-    augmented.user_count = {**policy.user_count, top: 0}
-    return augmented, top, True
+    return Policy._checked(p.with_top(top), {**policy.user_count, top: 0}), top, True
 
 
 def attach_to_maximum(policy: Policy, pi: ChainPartition) -> tuple[Policy, ChainPartition]:
@@ -361,21 +377,22 @@ def attach_to_maximum(policy: Policy, pi: ChainPartition) -> tuple[Policy, Chain
 
     When a synthetic top is added it extends the chain whose top has the
     largest declaration index; bottoms are unchanged, so every metric is
-    preserved. No-op when the poset already has a maximum. A partition
-    bound to the policy's poset gives the lifted one a binding to the new
-    poset without a second check: the top lies above every label and takes
-    the host chain's number.
+    preserved. No-op when the poset already has a maximum. Otherwise the
+    partition is checked against the policy's poset first, unless it is
+    bound to it, raising ``InvalidPartition`` or ``UnknownLabel`` as the
+    metrics do; the lifted partition is bound to the new poset from that
+    binding without a second check: the top lies above every label and
+    takes the host chain's number.
     """
     policy2, top, added = augment_with_maximum(policy)
     if not added:
         return policy2, pi
     p = policy.poset
+    binding = _bound(p, pi)
     host = max(range(len(pi.chains)), key=lambda i: p.index[pi.chains[i][0]])
     lifted = ChainPartition(tuple(
         (top,) + c if i == host else c for i, c in enumerate(pi.chains)
     ))
-    binding = pi._binding
-    if binding is not None and binding.poset is p:
-        # the top is the new poset's last label
-        _bind(lifted, _Binding(policy2.poset, binding.chain_index + [host]))
+    # the top is the new poset's last label
+    _bind(lifted, _Binding(policy2.poset, binding.chain_index + [host]))
     return policy2, lifted

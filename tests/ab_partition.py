@@ -15,15 +15,22 @@ user count, ``partition_text``) on two rows of benchmark instances:
 user-count draws each, and ``random``, eight ``random_policy(200, 0.1)``
 instances. A third row, ``analyze``, runs the benchmark's analyze op
 (``parse_policy``, the width, the minimal and maximal labels and the
-maximum) on its 1 500-top fence. A pair times each side on a row as the
+maximum) on its 1 500-top fence. Three kernel rows time one
+chain-parent kernel call, ``optimize._chain_parents(work, w)``, on
+``random_policy(200, 0.1, 1)``, ``random_policy(800, 0.05, 1)`` and
+``fence(250, 3, False)`` (the benchmark's 250-top fence under user
+seed 3); each side parses the row's policy text, runs
+``augment_with_maximum`` and takes ``work.poset.width()`` with its own
+code, outside the timed call. A pair times each side on a row as the
 least CPU time (``time.process_time``) of three passes over the row's
 instances, alternating which side runs first; one untimed pass per side
 comes before, and ``PAIRS`` pairs are timed. Per row it prints each
 side's median milliseconds per op, the median ratio this / other over
 the pairs, the ratio's interquartile range, the pair count, and whether
 both sides returned the same answers: ``khat``, ``w``, ``kmax``, ``K``,
-flow cost, bottoms and partition text, or the analyze report. Given this
-tree's own ``src``, it gives the noise floor.
+flow cost, bottoms and partition text, the analyze report, or the
+kernel's links, w, cost and potentials. Given this tree's own ``src``,
+it gives the noise floor.
 
 It gates nothing: it exits 1 only if a side's ``verify_result`` rejects
 its result. It writes the same numbers to ``BENCH_ab.json``.
@@ -41,6 +48,7 @@ import time
 from pathlib import Path
 
 import chainforge
+from chainforge.gen import random_policy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -48,6 +56,11 @@ import workloads  # noqa: E402
 ROWS = {
     "shapes": [f"{shape}/{s}" for shape in ("total-order", "fence") for s in range(8)],
     "random": [f"random/{s}" for s in range(8)],
+}
+KERNEL_ROWS = {
+    "random_policy(200, 0.1, 1)": lambda: random_policy(200, 0.1, seed=1),
+    "random_policy(800, 0.05, 1)": lambda: random_policy(800, 0.05, seed=1),
+    "fence(250, 3, False)": lambda: workloads.fence(250, 3),
 }
 PAIRS = 10
 
@@ -98,6 +111,17 @@ def analyze_op(package, text: str):
     return op
 
 
+def kernel_op(package, text: str):
+    """One chain-parent kernel call on one side, and the result it returns;
+    the policy is parsed, augmented and its width taken before the call."""
+    formats = importlib.import_module(f"{package.__name__}.formats")
+    optimize = importlib.import_module(f"{package.__name__}.optimize")
+    policy_mod = importlib.import_module(f"{package.__name__}.policy")
+    work = policy_mod.augment_with_maximum(formats.parse_policy(text))[0]
+    w = work.poset.width()
+    return lambda: optimize._chain_parents(work, w)
+
+
 def cpu_ms_per_op(ops) -> float:
     """The least CPU time per op of three passes over the ops."""
     best = float("inf")
@@ -146,11 +170,14 @@ def main() -> int:
         rows[row] = compare((chainforge, other), partition_op, texts)
     deep_fence = formats.policy_text(workloads.fence(workloads.DEEP_FENCE_TOPS, 0))
     rows["analyze"] = compare((chainforge, other), analyze_op, [deep_fence])
+    for row, make in KERNEL_ROWS.items():
+        rows[row] = compare((chainforge, other), kernel_op, [formats.policy_text(make())])
     print(f"this tree against {args.other_src}: CPU ms per op,"
           " median over pairs; ratio this / other")
+    width = max(map(len, rows))
     for row, r in rows.items():
         q1, q3 = r["ratio_iqr"]
-        print(f"{row:<7} this {r['this_ms']:7.3f}  other {r['other_ms']:7.3f}"
+        print(f"{row:<{width}} this {r['this_ms']:7.3f}  other {r['other_ms']:7.3f}"
               f"  ratio x{r['ratio_median']:.3f} (IQR {q1:.3f}-{q3:.3f}, {r['pairs']} pairs)"
               f"  same results: {'yes' if r['same_results'] else 'NO'}")
     Path("BENCH_ab.json").write_text(json.dumps({"unit": "ms", "rows": rows}, indent=1) + "\n")

@@ -10,11 +10,12 @@ others): the checks before they shared one method, ``derive``'s chain
 search, and the chain-mask bundles and chain-walk bundle sizes from before
 the check returned the chain numbers, and the metrics, the two recomputed
 ``khat`` formulas and ``attach_to_maximum`` from before a partition was
-bound to the poset it was checked against. Every generated input, valid
-or faulty, must give the same result, exception class and message under
-both, and so must every order of metric calls on one partition, on one
-poset or two. The budget tests count how often one operation runs the
-check and computes the bundle sizes.
+bound to the poset it was checked against (the last one given the check
+that ``attach_to_maximum`` now runs before it lifts). Every generated
+input, valid or faulty, must give the same result, exception class and
+message under both, and so must every order of metric calls on one
+partition, on one poset or two. The budget tests count how often one
+operation runs the check and computes the bundle sizes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from chainforge import ChainPartition, Policy, Poset
 from chainforge import policy as policy_mod
 from chainforge.ces import SchemeParams, derive, issue_bundle, seeded_entropy, setup
 from chainforge.errors import InvalidPartition, NoMaximum, NotAuthorized, ParseError
+from chainforge.formats import parse_partition, partition_text
 from chainforge.gen import random_policy
 from chainforge.optimize import optimal_partition, verify_result
 from chainforge.policy import (
@@ -227,6 +229,7 @@ def ref_attach_to_maximum(policy, pi):
     policy2, top, added = augment_with_maximum(policy)
     if not added:
         return policy2, pi
+    ref_require_partition(policy, pi)
     p = policy.poset
     host = max(range(len(pi.chains)), key=lambda i: p.index[pi.chains[i][0]])
     chains = tuple(
@@ -493,8 +496,8 @@ class TestAgainstReferences:
 
 class TestBinding:
     """A partition is bound to the poset it was checked against. Calls in
-    any order, on one poset or two, and after the chains change must give
-    what the references give without a binding."""
+    any order, on one poset or two, and after the caller's chain lists
+    change must give what the references give without a binding."""
 
     def test_metric_orders(self):
         rng = random.Random(1319)
@@ -540,20 +543,28 @@ class TestBinding:
         with pytest.raises(InvalidPartition, match="^chain not in descending order at 'a' > 'b'$"):
             max_bundle_size(Policy(vee), spine)
 
-    def test_chains_that_can_change_are_checked_again(self):
-        # a partition over a list of chains, or a tuple of list chains,
-        # changed in place after the metrics passed on it
+    def test_partition_built_from_lists_is_its_tuple_twin(self):
+        # a partition over a list of chains, or a tuple of list chains, is
+        # stored as tuples, is bound by its first check, and keeps its
+        # chains when the lists change in place after it
         rng = random.Random(1327)
-        after = Counter()
+        changed = 0
         for i in range(300):
             policy = random_policy(rng.randint(1, 10), DENSITIES[i % len(DENSITIES)], seed=1327 + i)
-            chains = [list(c) for c in random_chain_partition(policy.poset, rng).chains]
+            twin = random_chain_partition(policy.poset, rng)
+            chains = [list(c) for c in twin.chains]
             pi = ChainPartition(chains if i % 2 else tuple(chains))
-            assert dict(metric_calls(policy, pi, rng))["issued_secrets"] == "ok"
+            assert (pi, hash(pi), repr(pi)) == (twin, hash(twin), repr(twin))
+            assert pi._binding is None
+            issued_secrets(policy, pi)
+            assert pi._binding.poset is policy.poset
+            assert pi._binding.chain_index == policy.poset._chain_index(twin.chains)
             for fault in rng.sample(FAULTS, rng.randint(1, 4)):
                 fault(rng, chains)
-            after[dict(metric_calls(policy, pi, rng))["issued_secrets"]] += 1
-        assert after["ok"] >= 20 and sum(after.values()) - after["ok"] >= 150, after
+            changed += [tuple(c) for c in chains] != list(twin.chains)
+            assert pi.chains == twin.chains
+            assert dict(metric_calls(policy, pi, rng)) == dict(metric_calls(policy, twin, rng))
+        assert changed >= 200, changed
 
     def test_lifted_partition_is_bound_as_a_check_would_bind_it(self):
         rng = random.Random(1361)
@@ -570,7 +581,13 @@ class TestBinding:
             binding = aug_pi._binding
             assert binding.poset is aug_policy.poset
             assert binding.chain_index == aug_policy.poset._chain_index(aug_pi.chains)
-            assert attach_to_maximum(policy, fresh)[1]._binding is None
+            # an unbound partition is checked before it is lifted, and its
+            # lift is bound all the same
+            aug_policy, aug_fresh = attach_to_maximum(policy, fresh)
+            assert fresh._binding.poset is policy.poset
+            binding = aug_fresh._binding
+            assert binding.poset is aug_policy.poset
+            assert binding.chain_index == aug_policy.poset._chain_index(aug_fresh.chains)
 
     @pytest.mark.parametrize("policy", [
         random_policy(30, 0.2, seed=1367),
@@ -624,6 +641,21 @@ class TestCheckBudget:
         assert verify_result(policy, result)
         total_secrets(policy, result.partition)
         assert (checks["n"], checks["sizes"]) == (1, 1)
+
+    def test_evaluate(self, checks):
+        # the metrics of ``chainforge evaluate`` on a parsed partition: the
+        # parse's check binds it, and the lift is bound from that binding
+        for policy in (random_policy(40, 0.15, seed=1311),
+                       Policy.unit(Poset(["lo", "hi"], [("lo", "hi")]))):
+            text = partition_text(optimal_partition(policy).partition)
+            checks.clear()
+            pi = parse_partition(text, policy.poset)
+            issued_secrets(policy, pi)
+            issued_secrets_via_bottoms(policy, pi)
+            issued_secrets_via_tree(*attach_to_maximum(policy, pi))
+            max_bundle_size(policy, pi)
+            total_secrets(policy, pi)
+            assert (checks["n"], checks["sizes"]) == (1, 1)
 
     def test_issue_bundle_and_derive(self, checks):
         policy = random_policy(40, 0.15, seed=1311)

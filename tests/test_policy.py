@@ -413,6 +413,20 @@ class TestUsersIn:
 
 
 class TestAugmentation:
+    @pytest.mark.parametrize("chains, error, message", [
+        ((("zz",), ("a",), ("b",)), UnknownLabel, "unknown label 'zz'"),
+        ((), InvalidPartition, "chains are not disjoint or do not cover the poset"),
+        ((("a",), (), ("b",)), InvalidPartition, "empty chain"),
+        ((("a",), ("b",), ("a",)), InvalidPartition,
+         "chains are not disjoint or do not cover the poset"),
+        ((("a", "b"),), InvalidPartition, "chain not in descending order at 'a' > 'b'"),
+    ], ids=["unknown top", "no chains", "empty chain", "overlapping", "misordered"])
+    def test_attach_checks_before_it_lifts(self, chains, error, message):
+        # on the antichain a, b, which gets a synthetic top
+        policy = Policy.unit(Poset(["a", "b"]))
+        with pytest.raises(error, match=f"^{message}$"):
+            attach_to_maximum(policy, ChainPartition(chains))
+
     def test_attach_preserves_metrics(self):
         rng = random.Random(149)
         for policy in random_policies(30, 8, seed=149, min_n=2):
